@@ -6,8 +6,9 @@ strip packing (``UB`` optional, defaulting to the summed widths).
 
 ``run_bench`` runs a factorial (instance x concept x reformulation) sweep
 and returns one record per completed run plus an explicit report of the
-concept/reformulation pairs that were rejected as incompatible.  Gaps are
-reported in percent with the incumbent in the denominator, and ``inf``
+concept/reformulation pairs that were rejected as incompatible: RHR runs only
+on ``RHR_CONCEPTS``, whose disjuncts share a left-hand side as built.  Gaps
+are reported in percent with the incumbent in the denominator, and ``inf``
 marks runs that ended without an incumbent.
 """
 
@@ -17,6 +18,7 @@ import csv
 import io
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -53,10 +55,8 @@ CONCEPTS: Dict[str, Callable] = {**SCHED_CONCEPTS, **STRIP_CONCEPTS}
 
 REFORMULATIONS = ("BM", "HR", "RHR")
 
-# Concepts whose disjunctions share a left-hand side as built.
-RHR_NATIVE = {"GP_S", "TS", "S0", "S1"}
-# Concepts that reach shared form through the alignment pass.
-RHR_ALIGNABLE = {"GP", "S_original", "S_symbreak"}
+# The concepts RHR accepts: their disjuncts share a left-hand side as built.
+RHR_CONCEPTS = {"GP_S", "TS", "S0", "S1"}
 
 SOLVED_STATUSES = ("optimal", "gap_limit")
 
@@ -106,6 +106,9 @@ def load_instance(path: Union[str, Path]) -> Instance:
         val = obj[key]
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise InstanceFormatError(f"{path}: {where}: field {key!r} must be a number")
+        # false for NaN and infinities, and for integers beyond float range
+        if not abs(val) <= sys.float_info.max:
+            raise InstanceFormatError(f"{path}: {where}: field {key!r} must be finite")
         return float(val)
 
     if "jobs" in data:
@@ -163,27 +166,22 @@ def build_model(instance: Instance, concept: str) -> GdpModel:
     return CONCEPTS[concept](instance)
 
 
-def reformulate_model(model: GdpModel, reformulation: str, auto_align: bool = False) -> MilpModel:
+def reformulate_model(model: GdpModel, reformulation: str) -> MilpModel:
     if reformulation == "BM":
         return reformulate_bigm(model)
     if reformulation == "HR":
         return reformulate_hull(model)
     if reformulation == "RHR":
-        return reformulate_rhr(model, auto_align=auto_align)
+        return reformulate_rhr(model)
     raise ValueError(f"unknown reformulation {reformulation!r}")
 
 
-def check_compatible(concept: str, reformulation: str, auto_align: bool) -> Optional[str]:
+def check_compatible(concept: str, reformulation: str) -> Optional[str]:
     """Reason the pair cannot run, or None when it can."""
-    if reformulation != "RHR":
+    if reformulation != "RHR" or concept in RHR_CONCEPTS:
         return None
-    if concept == "IP":
-        return "IP disjuncts use different coefficient matrices; RHR is not applied"
-    if concept in RHR_NATIVE:
-        return None
-    if concept in RHR_ALIGNABLE and auto_align:
-        return None
-    return f"{concept} needs --auto-align for RHR (disjuncts do not share a left-hand side)"
+    shared = ", ".join(sorted(RHR_CONCEPTS))
+    return f"{concept} disjuncts do not share a left-hand side; RHR runs on {shared}"
 
 
 def _record_from_result(
@@ -212,10 +210,9 @@ def run_single(
     concept: str,
     reformulation: str,
     config: Optional[BBConfig] = None,
-    auto_align: bool = False,
 ) -> BenchRecord:
     model = build_model(instance, concept)
-    milp = reformulate_model(model, reformulation, auto_align)
+    milp = reformulate_model(model, reformulation)
     res = solve_bb(milp, config)
     return _record_from_result(instance_id, concept, reformulation, res)
 
@@ -229,7 +226,6 @@ def run_bench(
     concepts: Sequence[str],
     reformulations: Sequence[str],
     config: Optional[BBConfig] = None,
-    auto_align: bool = False,
     workers: int = 1,
 ) -> Tuple[List[BenchRecord], List[Tuple[str, str, str]]]:
     """Full factorial sweep.
@@ -243,13 +239,13 @@ def run_bench(
     runnable: List[Tuple[str, str]] = []
     for concept in concepts:
         for reform in reformulations:
-            reason = check_compatible(concept, reform, auto_align)
+            reason = check_compatible(concept, reform)
             if reason is None:
                 runnable.append((concept, reform))
             else:
                 rejections.append((concept, reform, reason))
     tasks = [
-        (iid, inst, concept, reform, config, auto_align)
+        (iid, inst, concept, reform, config)
         for iid, inst in instances
         for concept, reform in runnable
     ]

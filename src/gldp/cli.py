@@ -4,7 +4,11 @@ Subcommands: ``gen`` (write a random instance), ``build`` (model statistics),
 ``reformulate`` (MILP statistics for a pass), ``solve`` (branch-and-bound on
 one instance), ``bench`` (factorial sweep to CSV, optionally with profile
 CSVs), ``profile`` (profiles from an existing results CSV), and
-``export-mps``.
+``export-mps``.  Only ``solve`` and ``bench`` take the solver flags
+``--rel-gap``, ``--time-limit`` and ``--node-limit``.  RHR runs only on
+``bench.RHR_CONCEPTS``; any other concept with ``--reform RHR`` is an error
+in ``solve``, ``reformulate`` and ``export-mps`` and a reported rejection in
+``bench``.
 """
 
 from __future__ import annotations
@@ -12,15 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from . import bench as bench_mod
 from .bench import (
     CONCEPTS,
     REFORMULATIONS,
-    BenchRecord,
     InstanceFormatError,
     build_model,
+    check_compatible,
     emit_profile,
     load_instance,
     records_from_csv,
@@ -31,20 +34,14 @@ from .bench import (
 )
 from .builders import gen_scheduling, gen_strip
 from .milp import BBConfig, solve_bb
-from .model import validate
+from .model import MilpModel, validate
 from .mps import export_mps
-from .reformulate import SharedLhsViolation
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-gap", type=float, default=1e-4, help="relative optimality gap")
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=int, default=None, help="node cap per solve")
-    p.add_argument(
-        "--auto-align",
-        action="store_true",
-        help="align disjunctions before RHR when they do not share a left-hand side",
-    )
 
 
 def _config(args: argparse.Namespace) -> BBConfig:
@@ -93,11 +90,17 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _reformulated(args) -> MilpModel:
+    """Load, build and reformulate ``args.instance`` as ``args.concept`` x ``args.reform``."""
+    reason = check_compatible(args.concept, args.reform)
+    if reason:
+        raise ValueError(f"{args.concept} x {args.reform}: {reason}")
+    model = build_model(load_instance(args.instance), args.concept)
+    return reformulate_model(model, args.reform)
+
+
 def cmd_reformulate(args) -> int:
-    inst = load_instance(args.instance)
-    model = build_model(inst, args.concept)
-    milp = reformulate_model(model, args.reform, args.auto_align)
-    stats = milp.stats()
+    stats = _reformulated(args).stats()
     print(f"{args.concept} x {args.reform}:")
     for key, val in stats.items():
         print(f"  {key}: {val}")
@@ -105,10 +108,7 @@ def cmd_reformulate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    model = build_model(inst, args.concept)
-    milp = reformulate_model(model, args.reform, args.auto_align)
-    res = solve_bb(milp, _config(args))
+    res = solve_bb(_reformulated(args), _config(args))
     print(f"status:    {res.status}")
     print(f"objective: {res.objective}")
     print(f"bound:     {res.bound}")
@@ -119,10 +119,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_export_mps(args) -> int:
-    inst = load_instance(args.instance)
-    model = build_model(inst, args.concept)
-    milp = reformulate_model(model, args.reform, args.auto_align)
-    export_mps(milp, args.output)
+    export_mps(_reformulated(args), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -146,7 +143,7 @@ def cmd_bench(args) -> int:
             print(f"unknown reformulation {r}", file=sys.stderr)
             return 2
     records, rejections = run_bench(
-        instances, concepts, reforms, _config(args), args.auto_align, args.workers
+        instances, concepts, reforms, _config(args), args.workers
     )
     for concept, reform, reason in rejections:
         print(f"rejected {concept} x {reform}: {reason}", file=sys.stderr)
@@ -194,7 +191,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--concept", required=True, choices=sorted(CONCEPTS))
     p.add_argument("--reform", required=True, choices=REFORMULATIONS)
     p.add_argument("--instance", required=True)
-    _add_solve_flags(p)
     p.set_defaults(func=cmd_reformulate)
 
     p = sub.add_parser("solve", help="solve one instance with branch-and-bound")
@@ -209,7 +205,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--reform", required=True, choices=REFORMULATIONS)
     p.add_argument("--instance", required=True)
     p.add_argument("-o", "--output", required=True)
-    _add_solve_flags(p)
     p.set_defaults(func=cmd_export_mps)
 
     p = sub.add_parser("bench", help="factorial benchmark sweep to CSV")
@@ -242,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, SharedLhsViolation, ValueError, TypeError) as exc:
+    except (InstanceFormatError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

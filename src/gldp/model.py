@@ -16,8 +16,10 @@ shared freely across threads for read-only use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+import numbers
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 LE = "<="
 GE = ">="
@@ -156,18 +158,37 @@ def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
     return Disjunct(disjunct.indicator, rows)
 
 
+# Builtins first, so the common case skips the slower abstract-class check.
+_REAL = (float, int, numbers.Real)
+
+
+def _not_finite(x) -> str:
+    """Why ``x`` is not a finite number, or "" when it is one."""
+    if not isinstance(x, _REAL):
+        return "not a number"
+    try:
+        return "" if math.isfinite(x) else "not finite"
+    except OverflowError:  # an integer beyond float range
+        return "not finite"
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) or (not _not_finite(x) and float(x).is_integer())
+
+
 def validate(model: GdpModel) -> List[str]:
     """Check the model against the representation invariants.
 
     Returns a list of human-readable diagnostics; an empty list means the
-    model is well formed.  Validation never raises.
+    model is well formed.  Validation never raises: a value that is not a
+    finite number where one is expected is reported as a diagnostic.
     """
     diags: List[str] = []
     nv, nb = len(model.vars), len(model.bools)
 
     for i, v in enumerate(model.vars):
-        if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
-            diags.append(f"variable {i} ({v.name}): box must be finite")
+        if problem := _not_finite(v.lower) or _not_finite(v.upper):
+            diags.append(f"variable {i} ({v.name}): box bound is {problem}")
         elif v.lower > v.upper:
             diags.append(
                 f"variable {i} ({v.name}): lower {v.lower} exceeds upper {v.upper}"
@@ -181,10 +202,10 @@ def validate(model: GdpModel) -> List[str]:
         for v, a in row.coeffs.items():
             if not isinstance(v, int) or not 0 <= v < nv:
                 diags.append(f"{where}: references undeclared variable {v}")
-            if not math.isfinite(a):
-                diags.append(f"{where}: non-finite coefficient on variable {v}")
-        if not math.isfinite(row.rhs):
-            diags.append(f"{where}: non-finite right-hand side")
+            if problem := _not_finite(a):
+                diags.append(f"{where}: coefficient on variable {v} is {problem}")
+        if problem := _not_finite(row.rhs):
+            diags.append(f"{where}: right-hand side is {problem}")
 
     for gi, row in enumerate(model.global_rows):
         check_row(row, f"global row {gi}")
@@ -195,11 +216,12 @@ def validate(model: GdpModel) -> List[str]:
             diags.append(f"{tag}: needs at least two disjuncts")
         seen = set()
         for j, d in enumerate(disj.disjuncts):
-            if not 0 <= d.indicator < nb:
+            if not isinstance(d.indicator, numbers.Integral) or not 0 <= d.indicator < nb:
                 diags.append(f"{tag}, disjunct {j}: undeclared indicator {d.indicator}")
             elif d.indicator in seen:
                 diags.append(f"{tag}, disjunct {j}: duplicate indicator {d.indicator}")
-            seen.add(d.indicator)
+            else:
+                seen.add(d.indicator)
             for ri, row in enumerate(d.rows):
                 check_row(row, f"{tag}, disjunct {j}, row {ri}")
 
@@ -207,20 +229,19 @@ def validate(model: GdpModel) -> List[str]:
         if lrow.sense not in (LE, EQ):
             diags.append(f"logic row {li}: sense must be {LE} or {EQ}")
         for b, a in lrow.coeffs.items():
-            if not 0 <= b < nb:
+            if not isinstance(b, numbers.Integral) or not 0 <= b < nb:
                 diags.append(f"logic row {li}: references undeclared indicator {b}")
-            if a != int(a):
+            if not _is_integer(a):
                 diags.append(f"logic row {li}: non-integer coefficient {a}")
-        if lrow.rhs != int(lrow.rhs):
+        if not _is_integer(lrow.rhs):
             diags.append(f"logic row {li}: non-integer right-hand side")
 
     for v in model.objective:
-        if not 0 <= v < nv:
+        if not isinstance(v, numbers.Integral) or not 0 <= v < nv:
             diags.append(f"objective: references undeclared variable {v}")
 
-    names = [v.name for v in model.vars] + list(model.bools)
-    dupes = {n for n in names if names.count(n) > 1}
-    for n in sorted(dupes):
+    counts = Counter([v.name for v in model.vars] + list(model.bools))
+    for n in sorted((n for n, c in counts.items() if c > 1), key=str):
         diags.append(f"duplicate variable name {n!r}")
 
     return diags
@@ -296,10 +317,6 @@ class MilpModel:
     @property
     def binary_indices(self) -> List[int]:
         return [i for i, v in enumerate(self.variables) if v.is_binary]
-
-    @property
-    def continuous_indices(self) -> List[int]:
-        return [i for i, v in enumerate(self.variables) if not v.is_binary]
 
     @property
     def num_continuous(self) -> int:

@@ -332,13 +332,15 @@ def rhr_relaxation_mask(
 ) -> HullMask:
     """Grid mask of the reaggregated reformulation's LP-feasible x set.
 
-    Builds a one-disjunction model over the same boxes, reaggregates it
-    (aligning first when needed), and tests LP feasibility with the
-    continuous variables pinned to each grid point.
+    Builds a one-disjunction model over the same boxes, reaggregates it as
+    ``reformulate_rhr(align_model(model))`` (alignment keeps a disjunction
+    that already shares a left-hand side as it is), and tests LP feasibility
+    with :func:`~gldp.milp.solve_lp`, the continuous variables pinned to
+    each grid point.
     """
     from .model import ContinuousVar, Disjunct, GdpModel
-    from .reformulate import reformulate_rhr
-    from .milp import _CompiledLp
+    from .reformulate import align_model, reformulate_rhr
+    from .milp import solve_lp
 
     canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
     var_ids = tuple(sorted({v for d in canon for r in d.rows for v in r.coeffs}))
@@ -369,25 +371,14 @@ def rhr_relaxation_mask(
         logic=[],
         name="hullcheck",
     )
-    milp = reformulate_rhr(model, auto_align=True)
-    compiled = _CompiledLp(milp)
+    milp = reformulate_rhr(align_model(model))
     axes = tuple(
         np.linspace(boxes[v][0], boxes[v][1], resolution + 1) for v in var_ids
     )
-    if len(var_ids) == 1:
-        mask = np.zeros(axes[0].shape, dtype=bool)
-        for ix, xv in enumerate(axes[0]):
-            bounds = compiled.bounds.copy()
-            bounds[0] = (xv, xv)
-            mask[ix] = compiled.solve(bounds).status == "optimal"
-        return HullMask(var_ids, axes, mask)
-    mask = np.zeros((axes[0].size, axes[1].size), dtype=bool)
-    for ix, xv in enumerate(axes[0]):
-        for iy, yv in enumerate(axes[1]):
-            bounds = compiled.bounds.copy()
-            bounds[0] = (xv, xv)
-            bounds[1] = (yv, yv)
-            mask[ix, iy] = compiled.solve(bounds).status == "optimal"
+    mask = np.zeros(tuple(a.size for a in axes), dtype=bool)
+    for idx in np.ndindex(mask.shape):
+        point = {i: (axes[i][k], axes[i][k]) for i, k in enumerate(idx)}
+        mask[idx] = solve_lp(milp, bound_overrides=point).status == "optimal"
     return HullMask(var_ids, axes, mask)
 
 

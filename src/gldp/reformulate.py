@@ -39,7 +39,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     EQ,
-    GE,
     LE,
     Disjunct,
     Disjunction,
@@ -328,14 +327,15 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     return b.build()
 
 
-def reformulate_rhr(model: GdpModel, auto_align: bool = False) -> MilpModel:
+def reformulate_rhr(model: GdpModel) -> MilpModel:
     """Reaggregated hull reformulation for shared-coefficient disjunctions.
 
     Emits one row per shared coefficient vector, ``a^T x <= sum_j rhs_j y_j``,
     plus the assignment equality.  The MILP has exactly as many continuous
     variables as the input model.  Disjunctions failing ``shared_lhs`` raise
-    :class:`SharedLhsViolation` unless ``auto_align`` is set, in which case
-    :func:`align_model` is applied first.
+    :class:`SharedLhsViolation`; call ``reformulate_rhr(align_model(model))``
+    to reach the shared form first.  The aligned concepts GP_S, S0 and S1
+    are built that way, so their models pass here as built.
 
     The LP relaxation equals the hull pass's when, in every disjunction, the
     right-hand sides are the support values of the box-clipped disjuncts,
@@ -347,8 +347,6 @@ def reformulate_rhr(model: GdpModel, auto_align: bool = False) -> MilpModel:
     hull's.
     """
     _require_valid(model)
-    if auto_align:
-        model = align_model(model)
     b, ymap = _base_builder(model, "rhr")
     for k, disj in enumerate(model.disjunctions):
         tag = _disj_tag(k, disj)

@@ -8,6 +8,7 @@ from gldp import (
     InstanceFormatError,
     SchedulingInstance,
     StripInstance,
+    build_model,
     emit_profile,
     gen_scheduling,
     gen_strip,
@@ -16,8 +17,9 @@ from gldp import (
     records_to_csv,
     run_bench,
     save_instance,
+    shared_lhs,
 )
-from gldp.bench import CSV_FIELDS, BenchRecord
+from gldp.bench import CONCEPTS, CSV_FIELDS, RHR_CONCEPTS, STRIP_CONCEPTS, BenchRecord
 
 
 def test_load_scheduling_instance(tmp_path):
@@ -54,6 +56,32 @@ def test_load_reports_missing_field_and_bad_json(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("field", ["p", "r", "d"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_load_rejects_non_finite_job_field(tmp_path, field, value):
+    job = {"p": "2", "r": "0", "d": "10", field: value}
+    path = tmp_path / "bad.json"
+    path.write_text('{"jobs": [{"p": 1, "r": 0, "d": 10}, {%s}]}'
+                    % ", ".join(f'"{k}": {v}' for k, v in job.items()))
+    with pytest.raises(InstanceFormatError, match=f"job 1: field '{field}' must be finite"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"W": NaN, "rects": [{"L": 3, "H": 2}]}', "strip: field 'W'"),
+        ('{"W": 5, "UB": Infinity, "rects": [{"L": 3, "H": 2}]}', "strip: field 'UB'"),
+        ('{"W": 5, "rects": [{"L": 3, "H": 2}, {"L": 2, "H": NaN}]}', "rectangle 1: field 'H'"),
+    ],
+)
+def test_load_rejects_non_finite_strip_field(tmp_path, text, where):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InstanceFormatError, match=f"{where} must be finite"):
+        load_instance(path)
+
+
 def test_save_load_round_trip(tmp_path):
     inst = gen_scheduling(4, 3)
     save_instance(inst, tmp_path / "s.json")
@@ -73,27 +101,34 @@ def test_run_bench_counts_and_rejections():
         concepts=["GP", "GP_S", "TS"],
         reformulations=["BM", "HR", "RHR"],
     )
-    # GP x RHR is rejected without auto-align; 3 seeds x 8 surviving pairs
+    # GP x RHR is rejected (GP_S is its aligned form); 3 seeds x 8 surviving pairs
     assert len(records) == 24
     assert [(c, r) for c, r, _ in rejections] == [("GP", "RHR")]
-    with_align, rej2 = run_bench(
-        sched_instances(5, 1),
-        concepts=["GP"],
-        reformulations=["RHR"],
-        auto_align=True,
-    )
-    assert len(with_align) == 1 and rej2 == []
 
 
-def test_run_bench_rejects_ip_rhr_even_with_auto_align():
+def test_run_bench_rejects_ip_rhr():
     records, rejections = run_bench(
         sched_instances(3, 1),
         concepts=["IP"],
         reformulations=["BM", "RHR"],
-        auto_align=True,
     )
     assert len(records) == 1
     assert rejections[0][:2] == ("IP", "RHR")
+    # the one reason names every concept RHR accepts
+    assert all(c in rejections[0][2] for c in RHR_CONCEPTS)
+
+
+def test_rhr_concepts_are_exactly_the_shared_lhs_concepts():
+    sched, strip = gen_scheduling(4, 0), gen_strip(3, 0)
+    shared = {
+        concept
+        for concept in CONCEPTS
+        if all(
+            shared_lhs(d)
+            for d in build_model(strip if concept in STRIP_CONCEPTS else sched, concept).disjunctions
+        )
+    }
+    assert shared == RHR_CONCEPTS
 
 
 def test_run_bench_type_mismatch():

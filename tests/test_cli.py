@@ -31,14 +31,24 @@ def test_reformulate_prints_statistics(tmp_path, capsys):
     assert "continuous: 4" in out and "binary: 9" in out
 
 
-def test_solve_rhr_needs_alignment_flag(tmp_path, capsys):
+def test_solve_rhr_needs_aligned_concept(tmp_path, capsys):
     inst = write_instance(tmp_path)
     assert main(["solve", "--concept", "GP", "--reform", "RHR", "--instance", str(inst)]) == 1
     err = capsys.readouterr().err
     assert "left-hand side" in err
-    assert main(
-        ["solve", "--concept", "GP", "--reform", "RHR", "--instance", str(inst), "--auto-align"]
-    ) == 0
+    assert main(["solve", "--concept", "GP_S", "--reform", "RHR", "--instance", str(inst)]) == 0
+
+
+@pytest.mark.parametrize("command", ["reformulate", "export-mps"])
+@pytest.mark.parametrize("flag", ["--time-limit", "--rel-gap", "--node-limit"])
+def test_solver_flags_only_on_solving_commands(tmp_path, command, flag):
+    inst = write_instance(tmp_path)
+    argv = [command, "--concept", "TS", "--reform", "RHR", "--instance", str(inst)]
+    if command == "export-mps":
+        argv += ["-o", str(tmp_path / "m.mps")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
 
 
 def test_export_mps(tmp_path):

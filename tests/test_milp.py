@@ -16,6 +16,7 @@ from gldp import (
     MilpModel,
     MilpRow,
     MilpVar,
+    align_model,
     build_gp,
     build_ts,
     gen_scheduling,
@@ -82,7 +83,7 @@ def test_bm_and_hull_relaxations_admit_the_floor():
     m = interval_union_with_floor()
     z_bm = solve_lp(reformulate_bigm(m)).objective
     z_hr = solve_lp(reformulate_hull(m)).objective
-    z_rhr = solve_lp(reformulate_rhr(m, auto_align=True)).objective
+    z_rhr = solve_lp(reformulate_rhr(align_model(m))).objective
     assert z_bm == pytest.approx(3.0, abs=1e-9)
     assert z_hr == pytest.approx(3.0, abs=1e-9)
     assert z_rhr == pytest.approx(3.0, abs=1e-9)

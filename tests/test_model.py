@@ -92,6 +92,42 @@ def test_empty_row_and_bad_logic_reported():
     assert any("non-integer coefficient" in d for d in validate(bad))
 
 
+def test_repeated_name_is_reported_once():
+    bad = tiny_model(
+        vars=[ContinuousVar("x", 0.0, 10.0), ContinuousVar("x", 0.0, 5.0)],
+        bools=["x", "b", "y2", "b"],
+    )
+    assert validate(bad) == ["duplicate variable name 'b'", "duplicate variable name 'x'"]
+
+
+def test_values_that_are_not_numbers_are_reported_not_raised():
+    bad = tiny_model(
+        vars=[ContinuousVar("x", 0.0, None), ContinuousVar("z", 0.0, 5.0)],
+        global_rows=[LinRow({0: 1.0, 1: "2"}, None)],
+        disjunctions=[
+            Disjunction(
+                [
+                    Disjunct(0, [LinRow({0: 1.0}, math.nan)]),
+                    Disjunct(None, [LinRow({0: 10**400}, -5.0)]),
+                ]
+            )
+        ],
+        logic=[LogicRow({0: None}, math.inf, LE)],
+        objective={None: 1.0},
+    )
+    assert validate(bad) == [
+        "variable 0 (x): box bound is not a number",
+        "global row 0: coefficient on variable 1 is not a number",
+        "global row 0: right-hand side is not a number",
+        "disjunction 0, disjunct 0, row 0: right-hand side is not finite",
+        "disjunction 0, disjunct 1: undeclared indicator None",
+        "disjunction 0, disjunct 1, row 0: coefficient on variable 0 is not finite",
+        "logic row 0: non-integer coefficient None",
+        "logic row 0: non-integer right-hand side",
+        "objective: references undeclared variable None",
+    ]
+
+
 def test_canonicalize_flips_ge_rows():
     d = Disjunct(0, [LinRow({1: 1.0, 0: -1.0}, 3.0, GE)])
     out = canonicalize_rows(d)

@@ -18,6 +18,7 @@ from gldp import (
     SchedulingInstance,
     SharedLhsViolation,
     align_disjunction,
+    align_model,
     big_m_bound,
     build_gp,
     build_gp_strengthened,
@@ -243,7 +244,7 @@ def test_rhr_rejects_unaligned_without_flag():
     m = interval_union_model()
     with pytest.raises(SharedLhsViolation, match="split"):
         reformulate_rhr(m)
-    milp = reformulate_rhr(m, auto_align=True)
+    milp = reformulate_rhr(align_model(m))
     assert milp.num_continuous == 1
 
 
@@ -400,7 +401,7 @@ def test_rhr_matches_hull_on_aligned_2d_difference_disjunctions(disjuncts, objec
         logic=[],
     )
     hr = solve_lp(reformulate_hull(m))
-    rhr = solve_lp(reformulate_rhr(m, auto_align=True))
+    rhr = solve_lp(reformulate_rhr(align_model(m)))
     assert rhr.status == hr.status
     if hr.status == "optimal":
         assert rhr.objective == pytest.approx(hr.objective, abs=1e-6)
@@ -427,5 +428,5 @@ def test_rhr_can_be_weaker_than_hull_when_a_factor_has_three_variables():
         logic=[],
     )
     assert solve_lp(reformulate_hull(m)).objective == pytest.approx(-3.0, abs=1e-9)
-    z_rhr = solve_lp(reformulate_rhr(m, auto_align=True)).objective
+    z_rhr = solve_lp(reformulate_rhr(align_model(m))).objective
     assert z_rhr == pytest.approx(-3.5, abs=1e-9)
