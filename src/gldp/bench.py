@@ -5,9 +5,10 @@ for scheduling and ``{"W":.., "UB":.., "rects":[{"L":..,"H":..}, ...]}`` for
 strip packing (``UB`` optional, defaulting to the summed widths).
 
 ``run_bench`` runs a factorial (instance x concept x reformulation) sweep
-and returns one record per completed run plus an explicit report of the
-concept/reformulation pairs that were rejected as incompatible: RHR runs only
-on ``RHR_CONCEPTS``, whose disjuncts share a left-hand side as built.  Gaps
+and returns one record per run (status ``error`` for a run that raised) plus
+an explicit report of the concept/reformulation pairs that were rejected as
+incompatible: RHR runs only on ``RHR_CONCEPTS``, whose disjuncts share a
+left-hand side as built.  Gaps
 are reported in percent with the incumbent in the denominator, and ``inf``
 marks runs that ended without an incumbent.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +61,8 @@ REFORMULATIONS = ("BM", "HR", "RHR")
 RHR_CONCEPTS = {"GP_S", "TS", "S0", "S1"}
 
 SOLVED_STATUSES = ("optimal", "gap_limit")
+
+_log = logging.getLogger(__name__)
 
 CSV_FIELDS = (
     "instance",
@@ -156,13 +160,17 @@ def save_instance(inst: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 
-def build_model(instance: Instance, concept: str) -> GdpModel:
+def _check_concept(instance: Instance, concept: str) -> None:
     if concept not in CONCEPTS:
         raise ValueError(f"unknown concept {concept!r}; expected one of {sorted(CONCEPTS)}")
     if concept in SCHED_CONCEPTS and not isinstance(instance, SchedulingInstance):
         raise TypeError(f"concept {concept} needs a scheduling instance")
     if concept in STRIP_CONCEPTS and not isinstance(instance, StripInstance):
         raise TypeError(f"concept {concept} needs a strip instance")
+
+
+def build_model(instance: Instance, concept: str) -> GdpModel:
+    _check_concept(instance, concept)
     return CONCEPTS[concept](instance)
 
 
@@ -204,6 +212,18 @@ def _record_from_result(
     )
 
 
+def _run_built(
+    instance_id: str,
+    model: GdpModel,
+    concept: str,
+    reformulation: str,
+    config: Optional[BBConfig],
+) -> BenchRecord:
+    milp = reformulate_model(model, reformulation)
+    res = solve_bb(milp, config)
+    return _record_from_result(instance_id, concept, reformulation, res)
+
+
 def run_single(
     instance_id: str,
     instance: Instance,
@@ -212,13 +232,33 @@ def run_single(
     config: Optional[BBConfig] = None,
 ) -> BenchRecord:
     model = build_model(instance, concept)
-    milp = reformulate_model(model, reformulation)
-    res = solve_bb(milp, config)
-    return _record_from_result(instance_id, concept, reformulation, res)
+    return _run_built(instance_id, model, concept, reformulation, config)
 
 
-def _bench_task(args) -> BenchRecord:
-    return run_single(*args)
+def _error_record(
+    instance_id: str, concept: str, reformulation: str, exc: BaseException
+) -> BenchRecord:
+    _log.error("%s %s x %s failed: %s: %s", instance_id, concept, reformulation,
+               type(exc).__name__, exc, exc_info=exc)
+    return BenchRecord(instance_id, concept, reformulation, "error",
+                       math.inf, math.inf, math.inf, 0, 0.0)
+
+
+def _bench_group(task) -> List[BenchRecord]:
+    """Build one (instance, concept) model once and run each of its
+    reformulations on it; a run that raises becomes an error record."""
+    instance_id, instance, concept, reformulations, config = task
+    try:
+        model = build_model(instance, concept)
+    except Exception as exc:
+        return [_error_record(instance_id, concept, r, exc) for r in reformulations]
+    records = []
+    for reform in reformulations:
+        try:
+            records.append(_run_built(instance_id, model, concept, reform, config))
+        except Exception as exc:
+            records.append(_error_record(instance_id, concept, reform, exc))
+    return records
 
 
 def run_bench(
@@ -234,27 +274,44 @@ def run_bench(
     ``(concept, reformulation, reason)`` triple for a pair that cannot run;
     rejected pairs are reported rather than silently skipped.  Record order
     follows the input orders of instances, concepts, and reformulations.
+    An unknown concept, or one that does not fit an instance's kind, raises
+    before any run starts.  Each (instance, concept) model is built once and
+    shared by its reformulations.  A run that raises gets a record with
+    status ``error``, ``inf`` objective, bound and gap, and 0 nodes and wall
+    time; the exception is logged and the sweep goes on.  A worker process
+    that dies breaks the pool, so its run and every run not yet finished get
+    such records.
     """
+    for _, inst in instances:
+        for concept in concepts:
+            _check_concept(inst, concept)
     rejections: List[Tuple[str, str, str]] = []
-    runnable: List[Tuple[str, str]] = []
+    runnable: Dict[str, List[str]] = {}
     for concept in concepts:
         for reform in reformulations:
             reason = check_compatible(concept, reform)
             if reason is None:
-                runnable.append((concept, reform))
+                runnable.setdefault(concept, []).append(reform)
             else:
                 rejections.append((concept, reform, reason))
     tasks = [
-        (iid, inst, concept, reform, config)
+        (iid, inst, concept, reforms, config)
         for iid, inst in instances
-        for concept, reform in runnable
+        for concept, reforms in runnable.items()
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_bench_task, tasks))
+            futures = [pool.submit(_bench_group, t) for t in tasks]
+            groups = []
+            for task, fut in zip(tasks, futures):
+                try:
+                    groups.append(fut.result())
+                except Exception as exc:  # the worker died or could not be reached
+                    iid, _, concept, reforms, _ = task
+                    groups.append([_error_record(iid, concept, r, exc) for r in reforms])
     else:
-        records = [_bench_task(t) for t in tasks]
-    return records, rejections
+        groups = [_bench_group(t) for t in tasks]
+    return [rec for group in groups for rec in group], rejections
 
 
 def _fmt(value: float) -> str:

@@ -147,6 +147,10 @@ def cmd_bench(args) -> int:
     )
     for concept, reform, reason in rejections:
         print(f"rejected {concept} x {reform}: {reason}", file=sys.stderr)
+    errors = sum(1 for r in records if r.status == "error")
+    if errors:
+        print(f"{errors} run(s) raised an error; their records have status 'error'",
+              file=sys.stderr)
     Path(args.output).write_text(records_to_csv(records))
     print(f"wrote {len(records)} records to {args.output} "
           f"({len(rejections)} pair(s) rejected)")

@@ -1,10 +1,16 @@
 """LP relaxations and branch-and-bound for the reformulated MILPs.
 
-``solve_lp`` solves the LP relaxation (binaries relaxed to [0, 1]) through
-SciPy's HiGHS dual simplex, which returns a deterministic optimal basic
-solution.  ``solve_bb`` wraps it in a best-bound branch-and-bound that
-branches on the most fractional binary and terminates on a relative
-optimality gap, matching how the case-study runs are reported.
+One :class:`LpEngine` holds the LP relaxation of a MILP (binaries relaxed to
+[0, 1]) as a persistent HiGHS model, built once.  Every later solve only
+changes column bounds and re-runs HiGHS dual simplex, which returns an
+optimal basic solution.  HiGHS presolves only a cold solve, one without a
+basis in the model: a one-off root LP (``solve_lp``) is presolved, a warm
+re-solve is not.  ``solve_bb`` runs a best-bound branch-and-bound on one
+engine; each open node keeps the basis of its own LP, and both of its
+children start from it.  Branching fixes the most fractional binary, and the
+search ends on a relative optimality gap, matching how the case-study runs
+are reported.  ``oracles.rhr_relaxation_mask`` re-solves one engine per grid
+point.
 
 No cutting planes and no model tightening are applied anywhere: node
 relaxations are exactly the formulation being measured, so bound
@@ -17,12 +23,13 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+
+# HiGHS through SciPy's private binding: the only module that imports it.
+from scipy.optimize._highspy import _core as highs
 
 from .model import EQ, GE, LE, MilpModel
 
@@ -32,8 +39,18 @@ GAP_EPS = 1e-9
 PRUNE_TOL = 1e-9
 
 LP_OPTIONS = {
+    "output_flag": False,
+    "solver": "simplex",
+    "simplex_strategy": 1,  # serial dual simplex
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
+}
+
+_STATUS = {
+    highs.HighsModelStatus.kOptimal: "optimal",
+    highs.HighsModelStatus.kInfeasible: "infeasible",
+    highs.HighsModelStatus.kUnbounded: "unbounded",
+    highs.HighsModelStatus.kTimeLimit: "time_limit",
 }
 
 
@@ -41,9 +58,10 @@ LP_OPTIONS = {
 class LpResult:
     """Outcome of one LP relaxation solve."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "time_limit"
     objective: Optional[float]
     x: Optional[np.ndarray]
+    nit: int = 0  # simplex iterations of this solve
 
 
 @dataclass
@@ -83,63 +101,114 @@ class SolveResult:
     trace: Optional[List[Tuple[int, float, float]]] = None
 
 
-class _CompiledLp:
-    """Matrices for a model's LP relaxation, reused across node solves."""
+class LpEngine:
+    """The LP relaxation of one MILP as a persistent HiGHS model.
+
+    The rows are compiled once; :meth:`solve` sets every column's bounds and
+    re-runs the dual simplex from the basis in the model, or from ``basis``
+    when one is given.
+    """
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
+        rows = model.rows
+        start = np.zeros(len(rows) + 1, dtype=np.int32)
+        np.cumsum(np.fromiter((len(r.coeffs) for r in rows), np.int32, len(rows)), out=start[1:])
+        nnz = int(start[-1])
+        rhs = np.fromiter((r.rhs for r in rows), float, len(rows))
+        sense = np.array([r.sense for r in rows], dtype=object)
         self.n = n
-        self.c = np.zeros(n)
+        self.lower = np.fromiter((v.lower for v in model.variables), float, n)
+        self.upper = np.fromiter((v.upper for v in model.variables), float, n)
+        self.columns = np.arange(n, dtype=np.int32)
+
+        lp = highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = len(rows)
+        cost = np.zeros(n)
         for v, a in model.objective.items():
-            self.c[v] = a
-        self.bounds = np.array(
-            [(v.lower, v.upper) for v in model.variables], dtype=float
-        ).reshape(n, 2)
-        ub_rows: List[Tuple[Dict[int, float], float]] = []
-        eq_rows: List[Tuple[Dict[int, float], float]] = []
-        for r in model.rows:
-            if not r.coeffs:
-                continue  # empty rows carry no information for the LP
-            if r.sense == LE:
-                ub_rows.append((r.coeffs, r.rhs))
-            elif r.sense == GE:
-                ub_rows.append(({v: -a for v, a in r.coeffs.items()}, -r.rhs))
-            else:
-                eq_rows.append((r.coeffs, r.rhs))
-        self.A_ub, self.b_ub = self._assemble(ub_rows)
-        self.A_eq, self.b_eq = self._assemble(eq_rows)
-
-    def _assemble(self, rows) -> Tuple[Optional[sp.csr_matrix], Optional[np.ndarray]]:
-        if not rows:
-            return None, None
-        ri, ci, vals, rhs = [], [], [], []
-        for idx, (coeffs, b) in enumerate(rows):
-            rhs.append(b)
-            for v, a in coeffs.items():
-                ri.append(idx)
-                ci.append(v)
-                vals.append(a)
-        mat = sp.csr_matrix((vals, (ri, ci)), shape=(len(rows), self.n))
-        return mat, np.asarray(rhs, dtype=float)
-
-    def solve(self, bounds: Optional[np.ndarray] = None) -> LpResult:
-        res = linprog(
-            self.c,
-            A_ub=self.A_ub,
-            b_ub=self.b_ub,
-            A_eq=self.A_eq,
-            b_eq=self.b_eq,
-            bounds=self.bounds if bounds is None else bounds,
-            method="highs-ds",
-            options=LP_OPTIONS,
+            cost[v] = a
+        lp.col_cost_ = cost
+        lp.col_lower_ = self.lower
+        lp.col_upper_ = self.upper
+        lp.row_lower_ = np.where(sense == LE, -highs.kHighsInf, rhs)
+        lp.row_upper_ = np.where(sense == GE, highs.kHighsInf, rhs)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = len(rows)
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = np.fromiter(
+            itertools.chain.from_iterable(r.coeffs for r in rows), np.int32, nnz
         )
-        if res.status == 0:
-            return LpResult("optimal", float(res.fun), np.asarray(res.x, dtype=float))
-        if res.status == 2:
-            return LpResult("infeasible", None, None)
-        if res.status == 3:
-            return LpResult("unbounded", None, None)
-        raise RuntimeError(f"LP solve failed: {res.message}")
+        lp.a_matrix_.value_ = np.fromiter(
+            itertools.chain.from_iterable(r.coeffs.values() for r in rows), float, nnz
+        )
+        self.highs = highs._Highs()
+        for key, value in LP_OPTIONS.items():
+            self.highs.setOptionValue(key, value)
+        if self.highs.passModel(lp) == highs.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected the LP of model {model.name!r}")
+
+    def solve(
+        self,
+        lower: Optional[np.ndarray] = None,
+        upper: Optional[np.ndarray] = None,
+        basis: Optional[highs.HighsBasis] = None,
+        time_limit: float = math.inf,
+    ) -> LpResult:
+        """Solve with the given column bounds (the model's boxes by default),
+        starting from ``basis`` (from :meth:`basis`) when given, in at most
+        ``time_limit`` seconds."""
+        return linprog(
+            self,
+            self.lower if lower is None else lower,
+            self.upper if upper is None else upper,
+            basis,
+            time_limit,
+        )
+
+    def basis(self) -> highs.HighsBasis:
+        """The basis the last solve ended with, for a later warm start."""
+        return self.highs.getBasis()
+
+
+def linprog(
+    engine: LpEngine,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    basis: Optional[highs.HighsBasis],
+    time_limit: float,
+) -> LpResult:
+    """One HiGHS run of ``engine`` with the given bounds: the single place
+    where gldp solves an LP.
+
+    Kept as a module-level function under this name so that a profiler can
+    wrap ``gldp.milp.linprog`` and see every LP; :meth:`LpEngine.solve`
+    looks it up as a global on each call.  It is gldp's own function, not
+    ``scipy.optimize.linprog``.  A HiGHS status other than optimal,
+    infeasible, unbounded or time limit raises ``RuntimeError``.
+    """
+    h = engine.highs
+    h.changeColsBounds(engine.n, engine.columns, lower, upper)
+    if basis is not None:
+        h.setBasis(basis)
+    # HiGHS checks time_limit against its run clock, which adds up over
+    # every run of the model, so the limit is set from that clock.
+    h.setOptionValue("time_limit", h.getRunTime() + time_limit)
+    h.run()
+    model_status = h.getModelStatus()
+    status = _STATUS.get(model_status)
+    if status is None:
+        raise RuntimeError(f"HiGHS LP solve ended with status {h.modelStatusToString(model_status)!r}")
+    info = h.getInfo()
+    if status != "optimal":
+        return LpResult(status, None, None, info.simplex_iteration_count)
+    return LpResult(
+        "optimal",
+        float(info.objective_function_value),
+        np.array(h.getSolution().col_value, dtype=float),
+        info.simplex_iteration_count,
+    )
 
 
 def solve_lp(
@@ -152,13 +221,11 @@ def solve_lp(
     variable to a point.  All boxes must be finite, which rules out
     unbounded LPs.
     """
-    compiled = _CompiledLp(model)
-    bounds = compiled.bounds
-    if bound_overrides:
-        bounds = bounds.copy()
-        for v, (lo, hi) in bound_overrides.items():
-            bounds[v] = (lo, hi)
-    return compiled.solve(bounds)
+    engine = LpEngine(model)
+    lower, upper = engine.lower.copy(), engine.upper.copy()
+    for v, (lo, hi) in (bound_overrides or {}).items():
+        lower[v], upper[v] = lo, hi
+    return engine.solve(lower, upper)
 
 
 def max_violation(model: MilpModel, x: np.ndarray) -> float:
@@ -188,13 +255,16 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
 
     Best-bound node selection (ties broken toward deeper nodes, then
     insertion order); branching fixes the most fractional binary (lowest
-    index on ties) to 0 and to 1.  Nodes are pruned by bound, infeasibility,
-    and integrality.  Deterministic for a given model and configuration,
-    apart from ``wall_time``.
+    index on ties) to 0 and to 1, and both children's LPs start from the
+    parent's basis.  Nodes are pruned by bound, infeasibility, and
+    integrality.  Each LP gets what is left of ``time_limit``; one that runs
+    out ends the search with status ``time_limit`` (bound ``-inf`` at the
+    root).  Deterministic for a given model and configuration, apart from
+    ``wall_time`` and from where a time limit falls.
     """
     cfg = config or BBConfig()
     t0 = time.perf_counter()
-    compiled = _CompiledLp(model)
+    engine = LpEngine(model)
     bins = np.array(model.binary_indices, dtype=int)
     trace: Optional[List[Tuple[int, float, float]]] = [] if cfg.keep_trace else None
 
@@ -215,8 +285,17 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
             trace=trace,
         )
 
-    root = compiled.solve()
-    nodes += 1
+    def solve(lower=None, upper=None, basis=None) -> LpResult:
+        nonlocal nodes
+        nodes += 1
+        left = math.inf
+        if cfg.time_limit is not None:
+            left = max(0.0, cfg.time_limit - (time.perf_counter() - t0))
+        return engine.solve(lower, upper, basis, left)
+
+    root = solve()
+    if root.status == "time_limit":
+        return result("time_limit", -math.inf)
     if root.status == "infeasible":
         return result("infeasible", math.inf)
     if root.status != "optimal":
@@ -230,18 +309,20 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         return None if frac[best] <= INT_TOL else int(bins[best])
 
     counter = itertools.count()
-    heap: List[Tuple[float, int, int, np.ndarray, np.ndarray]] = []
-    branch0 = most_fractional(root.x)
-    if branch0 is None:
+    # (bound, -depth, order, x, lower, upper, basis)
+    heap: List[tuple] = []
+    if most_fractional(root.x) is None:
         incumbent = root.objective
         inc_x = root.x
         if trace is not None:
             trace.append((nodes, incumbent, incumbent))
         return result("optimal", incumbent)
-    heapq.heappush(heap, (root.objective, 0, next(counter), root.x, compiled.bounds))
+    heapq.heappush(
+        heap, (root.objective, 0, next(counter), root.x, engine.lower, engine.upper, engine.basis())
+    )
 
     while heap:
-        bound, neg_depth, _, x, node_bounds = heapq.heappop(heap)
+        bound, neg_depth, _, x, lower, upper, basis = heapq.heappop(heap)
         if bound >= incumbent - PRUNE_TOL:
             continue
         if trace is not None:
@@ -256,23 +337,24 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         branch = most_fractional(x)
         assert branch is not None  # integral nodes never enter the heap
         for val in (0.0, 1.0):
-            child_bounds = node_bounds.copy()
-            child_bounds[branch] = (val, val)
-            res = compiled.solve(child_bounds)
-            nodes += 1
+            child_lower, child_upper = lower.copy(), upper.copy()
+            child_lower[branch] = child_upper[branch] = val
+            res = solve(child_lower, child_upper, basis)
+            if res.status == "time_limit":
+                return result("time_limit", bound)
             if res.status != "optimal":
                 continue
             child_bound = max(res.objective, bound)  # keep bounds monotone
             if child_bound >= incumbent - PRUNE_TOL:
                 continue
-            frac_var = most_fractional(res.x)
-            if frac_var is None:
+            if most_fractional(res.x) is None:
                 incumbent = res.objective
                 inc_x = res.x
             else:
                 heapq.heappush(
                     heap,
-                    (child_bound, neg_depth - 1, next(counter), res.x, child_bounds),
+                    (child_bound, neg_depth - 1, next(counter), res.x,
+                     child_lower, child_upper, engine.basis()),
                 )
 
     if inc_x is None:

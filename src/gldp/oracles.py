@@ -334,13 +334,14 @@ def rhr_relaxation_mask(
 
     Builds a one-disjunction model over the same boxes, reaggregates it as
     ``reformulate_rhr(align_model(model))`` (alignment keeps a disjunction
-    that already shares a left-hand side as it is), and tests LP feasibility
-    with :func:`~gldp.milp.solve_lp`, the continuous variables pinned to
-    each grid point.
+    that already shares a left-hand side as it is), compiles its LP once
+    into a :class:`~gldp.milp.LpEngine`, and re-solves that engine with the
+    continuous variables pinned to each grid point in turn; a point is in
+    the mask when its LP is feasible.
     """
     from .model import ContinuousVar, Disjunct, GdpModel
     from .reformulate import align_model, reformulate_rhr
-    from .milp import solve_lp
+    from .milp import LpEngine
 
     canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
     var_ids = tuple(sorted({v for d in canon for r in d.rows for v in r.coeffs}))
@@ -375,10 +376,13 @@ def rhr_relaxation_mask(
     axes = tuple(
         np.linspace(boxes[v][0], boxes[v][1], resolution + 1) for v in var_ids
     )
+    engine = LpEngine(milp)
+    lower, upper = engine.lower.copy(), engine.upper.copy()
     mask = np.zeros(tuple(a.size for a in axes), dtype=bool)
     for idx in np.ndindex(mask.shape):
-        point = {i: (axes[i][k], axes[i][k]) for i, k in enumerate(idx)}
-        mask[idx] = solve_lp(milp, bound_overrides=point).status == "optimal"
+        for i, k in enumerate(idx):
+            lower[i] = upper[i] = axes[i][k]
+        mask[idx] = engine.solve(lower, upper).status == "optimal"
     return HullMask(var_ids, axes, mask)
 
 

@@ -237,3 +237,31 @@ def test_profile_rejects_empty():
         emit_profile([], axis="time")
     with pytest.raises(ValueError, match="axis"):
         emit_profile(profile_records(), axis="nodes")
+
+
+def test_a_failing_run_does_not_abort_the_sweep(monkeypatch, caplog):
+    import gldp.bench
+
+    instances = sched_instances(3, 2)
+    clean, _ = run_bench(instances, concepts=["GP", "TS"], reformulations=["BM", "HR"])
+    real_solve_bb = gldp.bench.solve_bb
+    calls = iter(range(len(clean)))
+
+    def flaky_solve_bb(milp, config=None):
+        if next(calls) == 5:  # sched_n3_s1, GP x HR
+            raise RuntimeError("HiGHS LP solve ended with status 'Solve error'")
+        return real_solve_bb(milp, config)
+
+    monkeypatch.setattr(gldp.bench, "solve_bb", flaky_solve_bb)
+    records, _ = run_bench(instances, concepts=["GP", "TS"], reformulations=["BM", "HR"])
+    key = lambda r: (r.instance, r.concept, r.reformulation, r.status, r.objective, r.bound, r.nodes)
+    assert [key(r)[:3] for r in records] == [
+        (iid, c, f) for iid, _ in instances for c in ("GP", "TS") for f in ("BM", "HR")
+    ]
+    bad = records[5]
+    assert (bad.instance, bad.concept, bad.reformulation, bad.status) == ("sched_n3_s1", "GP", "HR", "error")
+    assert bad.objective == bad.bound == bad.gap == math.inf and bad.nodes == 0
+    assert [key(r) for r in records[:5] + records[6:]] == [key(r) for r in clean[:5] + clean[6:]]
+    assert "sched_n3_s1 GP x HR failed: RuntimeError" in caplog.text
+    # an error record never counts as solved
+    assert "GP_HR" in emit_profile(records, axis="time").splitlines()[0]

@@ -102,3 +102,18 @@ def test_bad_instance_file_reports_error(tmp_path, capsys):
     bad.write_text(json.dumps({"jobs": [{"p": 5, "r": 0, "d": 4}]}))
     assert main(["build", "--concept", "GP", "--instance", str(bad)]) == 1
     assert "job 0" in capsys.readouterr().err
+
+
+def test_bench_reports_failed_runs(tmp_path, capsys, monkeypatch):
+    import gldp.bench
+
+    def broken_solve_bb(milp, config=None):
+        raise RuntimeError("HiGHS LP solve ended with status 'Solve error'")
+
+    monkeypatch.setattr(gldp.bench, "solve_bb", broken_solve_bb)
+    out = tmp_path / "res.csv"
+    inst = write_instance(tmp_path)
+    assert main(["bench", "--instances", str(inst), "--concepts", "TS", "--reforms", "BM,RHR",
+                 "-o", str(out)]) == 0
+    assert "2 run(s) raised an error" in capsys.readouterr().err
+    assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["error", "error"]

@@ -1,10 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from gldp import (
     EQ,
+    GE,
     LE,
     BBConfig,
     ContinuousVar,
@@ -18,16 +23,23 @@ from gldp import (
     MilpVar,
     align_model,
     build_gp,
+    build_ip,
     build_ts,
     gen_scheduling,
+    gen_strip,
     max_violation,
     reformulate_bigm,
     reformulate_hull,
     reformulate_rhr,
     sched_oracle,
     solve_bb,
+    strip_oracle,
     solve_lp,
 )
+from gldp.bench import build_model, reformulate_model
+from gldp.milp import LpEngine
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def box_lp():
@@ -194,3 +206,146 @@ def test_bb_incumbent_satisfies_model_rows():
     assert max_violation(milp, res.x) <= 1e-6
     bins = milp.binary_indices
     assert max(abs(res.x[b] - round(res.x[b])) for b in bins) <= 1e-6
+
+
+def test_bb_time_limit_at_root_has_no_bound():
+    milp = reformulate_bigm(build_gp(gen_scheduling(7, 0)))
+    res = solve_bb(milp, BBConfig(time_limit=0.0))
+    assert res.status == "time_limit"
+    assert res.bound == -math.inf and res.objective == math.inf and res.x is None
+
+
+def test_engine_time_limit_is_per_solve():
+    """HiGHS's run clock adds up over the solves of one model; each solve
+    still gets the whole time_limit it is given."""
+    milp = reformulate_hull(build_ip(gen_scheduling(6, 0)))
+    engine = LpEngine(milp)
+    assert engine.solve().status == "optimal"
+    basis = engine.basis()
+    bins = milp.binary_indices
+    k = 0
+    while engine.highs.getRunTime() < 0.6:
+        lower, upper = engine.lower.copy(), engine.upper.copy()
+        lower[bins[k % len(bins)]] = upper[bins[k % len(bins)]] = float(k % 2)
+        engine.solve(lower, upper, basis)
+        k += 1
+    lower, upper = engine.lower.copy(), engine.upper.copy()
+    lower[bins[3]] = upper[bins[3]] = 1.0
+    assert engine.solve(lower, upper, basis, time_limit=0.3).status == "optimal"
+
+
+# ---- the LP engine against SciPy's public solvers -----------------------
+
+def scipy_arrays(model):
+    """(c, A, row lower, row upper) of a model, for scipy.optimize."""
+    n = len(model.variables)
+    c = np.zeros(n)
+    for v, a in model.objective.items():
+        c[v] = a
+    ri = [k for k, r in enumerate(model.rows) for _ in r.coeffs]
+    ci = [v for r in model.rows for v in r.coeffs]
+    vals = [a for r in model.rows for a in r.coeffs.values()]
+    A = sp.csr_array((vals, (ri, ci)), shape=(len(model.rows), n))
+    lo = np.array([-np.inf if r.sense == LE else r.rhs for r in model.rows])
+    hi = np.array([np.inf if r.sense == GE else r.rhs for r in model.rows])
+    return c, A, lo, hi
+
+
+def public_linprog(model, lower, upper):
+    c, A, lo, hi = scipy_arrays(model)
+    le = np.isfinite(hi)
+    ge = np.isfinite(lo)
+    A_ub = sp.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([hi[le], -lo[ge]])
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=b_ub, bounds=np.column_stack([lower, upper]), method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status in (0, 2), res.message
+    return ("optimal", res.fun) if res.status == 0 else ("infeasible", None)
+
+
+coef = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def random_lp(draw):
+    n = draw(st.integers(1, 5))
+    boxes = []
+    for _ in range(n):
+        lo = draw(st.integers(-5, 5))
+        boxes.append((float(lo), float(lo + draw(st.integers(0, 6)))))
+    rows = []
+    for k in range(draw(st.integers(0, 6))):
+        coeffs = {v: a for v, a in enumerate(draw(st.lists(coef, min_size=n, max_size=n))) if a}
+        rows.append(MilpRow(coeffs, float(draw(st.integers(-8, 8))),
+                            draw(st.sampled_from([LE, GE, EQ])), f"r{k}"))
+    model = MilpModel(
+        variables=[MilpVar(f"x{i}", lo, hi) for i, (lo, hi) in enumerate(boxes)],
+        rows=rows,
+        objective={v: a for v, a in enumerate(draw(st.lists(coef, min_size=n, max_size=n))) if a},
+    )
+    # bound changes: each narrows one column's box to a sub-interval
+    changes = []
+    for _ in range(draw(st.integers(1, 6))):
+        v = draw(st.integers(0, n - 1))
+        lo, hi = boxes[v]
+        a = draw(st.integers(int(lo), int(hi)))
+        b = draw(st.integers(a, int(hi)))
+        changes.append((v, float(a), float(b)))
+    return model, changes
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_lp(), st.booleans())
+def test_engine_matches_public_linprog_over_bound_changes(case, from_first_basis):
+    """Cold solve, then warm re-solves after each bound change (from the
+    basis left in the model, or from the first solve's basis)."""
+    model, changes = case
+    engine = LpEngine(model)
+    lower, upper = engine.lower.copy(), engine.upper.copy()
+    steps = [(lower.copy(), upper.copy())]
+    for v, lo, hi in changes:
+        lower[v], upper[v] = lo, hi
+        steps.append((lower.copy(), upper.copy()))
+    first_basis = None
+    for k, (lo, hi) in enumerate(steps):
+        got = engine.solve(lo, hi, first_basis if k and from_first_basis else None)
+        if k == 0 and got.status == "optimal":
+            first_basis = engine.basis()
+        status, objective = public_linprog(model, lo, hi)
+        assert got.status == status
+        if status == "optimal":
+            assert got.objective == pytest.approx(objective, abs=1e-7)
+            assert max_violation(
+                MilpModel([MilpVar(f"x{i}", a, b) for i, (a, b) in enumerate(zip(lo, hi))],
+                          model.rows, model.objective),
+                got.x,
+            ) <= 1e-7
+
+
+SCHED_PAIRS = [("GP", "BM"), ("GP", "HR"), ("GP_S", "BM"), ("GP_S", "HR"), ("GP_S", "RHR"),
+               ("IP", "BM"), ("IP", "HR"), ("TS", "BM"), ("TS", "HR"), ("TS", "RHR")]
+STRIP_PAIRS = [("S_original", "BM"), ("S_original", "HR"), ("S_symbreak", "BM"),
+               ("S_symbreak", "HR"), ("S0", "BM"), ("S0", "HR"), ("S0", "RHR"),
+               ("S1", "BM"), ("S1", "HR"), ("S1", "RHR")]
+
+
+@pytest.mark.parametrize(
+    "instance, pairs",
+    [(gen_scheduling(3, s), SCHED_PAIRS) for s in range(3)]
+    + [(gen_strip(3, s), STRIP_PAIRS) for s in range(2)],
+)
+def test_bb_matches_the_oracle_on_every_pair(instance, pairs):
+    oracle = sched_oracle if pairs is SCHED_PAIRS else strip_oracle
+    optimum = oracle(instance).optimum
+    for concept, reform in pairs:
+        res = solve_bb(reformulate_model(build_model(instance, concept), reform), BBConfig(rel_gap=0.0))
+        assert res.status == "optimal", (concept, reform)
+        assert res.objective == pytest.approx(optimum, abs=1e-6), (concept, reform)
+
+
+def test_private_highs_binding_stays_in_milp():
+    users = sorted(p.name for p in SRC.rglob("*.py") if "_highspy" in p.read_text())
+    assert users == ["milp.py"]
+    assert not [p for p in SRC.rglob("*.py") if "from scipy.optimize import linprog" in p.read_text()]
