@@ -40,8 +40,8 @@ from .builders import (
     SchedulingInstance,
     StripInstance,
     build_gp,
-    build_gp_strengthened,
     build_ip,
+    build_model,
     build_strip,
     build_ts,
     gen_scheduling,
@@ -59,11 +59,10 @@ from .oracles import (
     sched_oracle,
     strip_oracle,
 )
-from .mps import export_mps, read_mps, to_mps_string
+from .mps import export_mps, to_mps_string
 from .bench import (
     BenchRecord,
     InstanceFormatError,
-    build_model,
     emit_profile,
     load_instance,
     records_from_csv,

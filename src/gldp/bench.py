@@ -7,10 +7,12 @@ strip packing (``UB`` optional, defaulting to the summed widths).
 ``run_bench`` runs a factorial (instance x concept x reformulation) sweep
 and returns one record per run (status ``error`` for a run that raised) plus
 an explicit report of the concept/reformulation pairs that were rejected as
-incompatible: RHR runs only on ``RHR_CONCEPTS``, whose disjuncts share a
-left-hand side as built.  Gaps
-are reported in percent with the incumbent in the denominator, and ``inf``
-marks runs that ended without an incumbent.
+incompatible.  The concepts and ``build_model`` come from
+``builders.CONCEPTS``; RHR runs only on ``RHR_CONCEPTS``, the entries of
+that table whose disjuncts share a left-hand side as built.  A
+``BenchRecord`` is one CSV row, its fields the columns.  Gaps are reported
+in percent with the incumbent in the denominator, and ``inf`` marks runs
+that ended without an incumbent.
 """
 
 from __future__ import annotations
@@ -22,59 +24,31 @@ import logging
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .builders import (
+    CONCEPTS,
+    Instance,
     Job,
     Rect,
     SchedulingInstance,
     StripInstance,
-    build_gp,
-    build_gp_strengthened,
-    build_ip,
-    build_strip,
-    build_ts,
+    build_model,
+    check_concept,
 )
-from .milp import GAP_EPS, BBConfig, SolveResult, solve_bb
+from .milp import BBConfig, SolveResult, solve_bb
 from .model import GdpModel, MilpModel
 from .reformulate import reformulate_bigm, reformulate_hull, reformulate_rhr
 
-Instance = Union[SchedulingInstance, StripInstance]
-
-SCHED_CONCEPTS: Dict[str, Callable[[SchedulingInstance], GdpModel]] = {
-    "GP": build_gp,
-    "GP_S": build_gp_strengthened,
-    "IP": build_ip,
-    "TS": build_ts,
-}
-STRIP_CONCEPTS: Dict[str, Callable[[StripInstance], GdpModel]] = {
-    v: partial(build_strip, variant=v) for v in ("S_original", "S_symbreak", "S0", "S1")
-}
-CONCEPTS: Dict[str, Callable] = {**SCHED_CONCEPTS, **STRIP_CONCEPTS}
-
 REFORMULATIONS = ("BM", "HR", "RHR")
 
-# The concepts RHR accepts: their disjuncts share a left-hand side as built.
-RHR_CONCEPTS = {"GP_S", "TS", "S0", "S1"}
+RHR_CONCEPTS = {name for name, c in CONCEPTS.items() if c.rhr}
 
 SOLVED_STATUSES = ("optimal", "gap_limit")
 
 _log = logging.getLogger(__name__)
-
-CSV_FIELDS = (
-    "instance",
-    "concept",
-    "reformulation",
-    "status",
-    "objective",
-    "bound",
-    "gap",
-    "nodes",
-    "wall_time",
-)
 
 
 class InstanceFormatError(ValueError):
@@ -92,6 +66,11 @@ class BenchRecord:
     gap: float  # percent, inf when no incumbent
     nodes: int
     wall_time: float
+
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
+# The type of each column, which writes and parses its values.
+_CSV_TYPES = tuple(get_type_hints(BenchRecord)[name] for name in CSV_FIELDS)
 
 
 def load_instance(path: Union[str, Path]) -> Instance:
@@ -160,20 +139,6 @@ def save_instance(inst: Instance, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _check_concept(instance: Instance, concept: str) -> None:
-    if concept not in CONCEPTS:
-        raise ValueError(f"unknown concept {concept!r}; expected one of {sorted(CONCEPTS)}")
-    if concept in SCHED_CONCEPTS and not isinstance(instance, SchedulingInstance):
-        raise TypeError(f"concept {concept} needs a scheduling instance")
-    if concept in STRIP_CONCEPTS and not isinstance(instance, StripInstance):
-        raise TypeError(f"concept {concept} needs a strip instance")
-
-
-def build_model(instance: Instance, concept: str) -> GdpModel:
-    _check_concept(instance, concept)
-    return CONCEPTS[concept](instance)
-
-
 def reformulate_model(model: GdpModel, reformulation: str) -> MilpModel:
     if reformulation == "BM":
         return reformulate_bigm(model)
@@ -195,10 +160,6 @@ def check_compatible(concept: str, reformulation: str) -> Optional[str]:
 def _record_from_result(
     instance_id: str, concept: str, reformulation: str, res: SolveResult
 ) -> BenchRecord:
-    if math.isfinite(res.objective):
-        gap_pct = max(0.0, 100.0 * (res.objective - res.bound) / max(abs(res.objective), GAP_EPS))
-    else:
-        gap_pct = math.inf
     return BenchRecord(
         instance=instance_id,
         concept=concept,
@@ -206,7 +167,7 @@ def _record_from_result(
         status=res.status,
         objective=res.objective,
         bound=res.bound,
-        gap=gap_pct,
+        gap=100.0 * res.gap,
         nodes=res.nodes,
         wall_time=res.wall_time,
     )
@@ -284,7 +245,7 @@ def run_bench(
     """
     for _, inst in instances:
         for concept in concepts:
-            _check_concept(inst, concept)
+            check_concept(inst, concept)
     rejections: List[Tuple[str, str, str]] = []
     runnable: Dict[str, List[str]] = {}
     for concept in concepts:
@@ -324,39 +285,23 @@ def records_to_csv(records: Sequence[BenchRecord]) -> str:
     writer.writerow(CSV_FIELDS)
     for r in records:
         writer.writerow(
-            [
-                r.instance,
-                r.concept,
-                r.reformulation,
-                r.status,
-                _fmt(r.objective),
-                _fmt(r.bound),
-                _fmt(r.gap),
-                r.nodes,
-                _fmt(r.wall_time),
-            ]
+            _fmt(value) if typ is float else value
+            for typ, value in zip(_CSV_TYPES, (getattr(r, name) for name in CSV_FIELDS))
         )
     return out.getvalue()
 
 
 def records_from_csv(text: str) -> List[BenchRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_FIELDS:
-        raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-    return [
-        BenchRecord(
-            instance=row["instance"],
-            concept=row["concept"],
-            reformulation=row["reformulation"],
-            status=row["status"],
-            objective=float(row["objective"]),
-            bound=float(row["bound"]),
-            gap=float(row["gap"]),
-            nodes=int(row["nodes"]),
-            wall_time=float(row["wall_time"]),
-        )
-        for row in reader
-    ]
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_FIELDS:
+        raise ValueError(f"unexpected CSV header {header}")
+    records = []
+    for row in reader:
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"CSV line {reader.line_num}: {len(row)} fields, expected {len(CSV_FIELDS)}")
+        records.append(BenchRecord(*(typ(value) for typ, value in zip(_CSV_TYPES, row))))
+    return records
 
 
 def _profile_metric(record: BenchRecord, axis: str) -> Optional[float]:

@@ -2,19 +2,23 @@
 
 Scheduling: a set of jobs with processing times, release times, and due
 times must be sequenced on one machine to minimize the makespan.  Three
-disjunctive encodings are provided: pairwise general precedence (``build_gp``
-and its aligned form ``build_gp_strengthened``), immediate precedence with
-first/last roles (``build_ip``), and a time-slot assignment (``build_ts``).
+disjunctive encodings are provided: pairwise general precedence
+(``build_gp``), immediate precedence with first/last roles (``build_ip``),
+and a time-slot assignment (``build_ts``).
 
 Strip packing: axis-aligned, non-rotatable rectangles are placed in a strip
 of fixed width to minimize the used length, with one four-way non-overlap
-disjunction per rectangle pair.  ``build_strip`` produces the plain model,
-the symmetry-breaking variant, and their aligned forms.
+disjunction per rectangle pair.  ``build_strip`` produces the plain model
+and, with ``symbreak``, the symmetry-breaking variant.
 
-The aligned models (GP_S, S0, S1) are ``align_model`` applied to their
-sources: every disjunct carries the same rows, with right-hand sides equal to
-the rows' maxima over the disjunct within the variable boxes, so the
-reaggregated hull applies and its LP relaxation equals the hull's.
+``CONCEPTS`` is the one table of the formulation concepts: for each name,
+the instance type it models, the builder of its source model, whether it is
+aligned, and whether RHR runs on it.  ``build_model`` builds a concept from
+that table.  The aligned concepts (GP_S, S0, S1) are ``align_model`` applied
+to their source models: every disjunct carries the same rows, with
+right-hand sides equal to the rows' maxima over the disjunct within the
+variable boxes, so the reaggregated hull applies and its LP relaxation
+equals the hull's.
 
 ``gen_scheduling`` / ``gen_strip`` generate seeded random instances.
 """
@@ -22,17 +26,13 @@ reaggregated hull applies and its LP relaxation equals the hull's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from .model import EQ, LE, ContinuousVar, Disjunct, Disjunction, GdpModel, LinRow, LogicRow
 from .reformulate import align_model
-
-STRIP_VARIANTS = ("S_original", "S_symbreak", "S0", "S1")
-# Aligned strip variants and the variant each one aligns.
-ALIGNED_STRIP_SOURCES = {"S0": "S_original", "S1": "S_symbreak"}
-
 
 @dataclass(frozen=True)
 class Job:
@@ -160,21 +160,6 @@ def build_gp(inst: SchedulingInstance) -> GdpModel:
         logic=[],
         name=f"gp{inst.n}",
     )
-
-
-def build_gp_strengthened(inst: SchedulingInstance) -> GdpModel:
-    """General precedence aligned for the reaggregated hull.
-
-    ``align_model`` applied to ``build_gp``: each disjunct of pair ``(i, j)``
-    carries ``x_i - x_j``, ``x_j - x_i``, ``±x_i`` and ``±x_j`` with
-    right-hand sides equal to their maxima over the disjunct within the
-    start-time boxes, and an order that the boxes rule out has its indicator
-    fixed at 0 by a logic row.  The reaggregated hull of this model has the
-    same LP relaxation as the hull of ``build_gp``.
-    """
-    model = align_model(build_gp(inst))
-    model.name = f"gps{inst.n}"
-    return model
 
 
 def build_ip(inst: SchedulingInstance) -> GdpModel:
@@ -310,28 +295,15 @@ def build_ts(inst: SchedulingInstance) -> GdpModel:
     )
 
 
-def build_strip(inst: StripInstance, variant: str = "S_original") -> GdpModel:
+def build_strip(inst: StripInstance, symbreak: bool = False) -> GdpModel:
     """Strip-packing model with one four-way non-overlap disjunction per pair.
 
     ``x_i`` is the left edge of rectangle ``i`` and ``y_i`` its top edge, so
-    boxes read ``x_i in [0, UB - L_i]`` and ``y_i in [H_i, W]``.  Variants:
-
-    - ``S_original``: sparse left/left/above/above disjuncts.
-    - ``S_symbreak``: vertical disjuncts also require horizontal overlap,
-      removing mirror-image packings.
-    - ``S0`` / ``S1``: ``align_model`` applied to the previous two.  All
-      four disjuncts share the rows ``±(x_i - x_j)``, ``±(y_i - y_j)`` and
-      ``±`` each coordinate, with right-hand sides equal to their maxima over
-      the disjunct within the boxes; a relation that the boxes rule out has
-      its indicator fixed at 0 by a logic row.  The reaggregated hull of
-      these models has the same LP relaxation as the hull of their sources.
+    boxes read ``x_i in [0, UB - L_i]`` and ``y_i in [H_i, W]``.  The
+    disjuncts are sparse left/left/above/above rows (``S_original``); with
+    ``symbreak``, the vertical disjuncts also require horizontal overlap,
+    removing mirror-image packings (``S_symbreak``).
     """
-    if variant not in STRIP_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {STRIP_VARIANTS}")
-    if variant in ALIGNED_STRIP_SOURCES:
-        model = align_model(build_strip(inst, ALIGNED_STRIP_SOURCES[variant]))
-        model.name = f"{variant.lower()}_{inst.n}"
-        return model
     n = inst.n
     W, UB = inst.W, inst.UB
     vars_: List[ContinuousVar] = []
@@ -363,7 +335,7 @@ def build_strip(inst: StripInstance, variant: str = "S_original") -> GdpModel:
             def row(coeffs: Dict[int, float], rhs: float) -> LinRow:
                 return LinRow(dict(coeffs), rhs)
 
-            if variant == "S_original":
+            if not symbreak:
                 rows = [
                     [row(dx, -Li)],
                     [row(ndx, -Lj)],
@@ -393,8 +365,64 @@ def build_strip(inst: StripInstance, variant: str = "S_original") -> GdpModel:
         global_rows=global_rows,
         disjunctions=disjunctions,
         logic=[],
-        name=f"{variant.lower()}_{n}",
+        name=f"s_{'symbreak' if symbreak else 'original'}_{n}",
     )
+
+
+Instance = Union[SchedulingInstance, StripInstance]
+
+
+class Concept(NamedTuple):
+    """One entry of ``CONCEPTS``."""
+
+    kind: type  # the instance type the concept models
+    build: Callable[[Instance], GdpModel]  # builds the source model
+    aligned: bool  # build_model applies align_model to the source model
+    rhr: bool  # its disjuncts share a left-hand side as built: RHR runs on it
+
+
+_build_symbreak = partial(build_strip, symbreak=True)
+
+CONCEPTS: Dict[str, Concept] = {
+    "GP": Concept(SchedulingInstance, build_gp, aligned=False, rhr=False),
+    "GP_S": Concept(SchedulingInstance, build_gp, aligned=True, rhr=True),
+    "IP": Concept(SchedulingInstance, build_ip, aligned=False, rhr=False),
+    "TS": Concept(SchedulingInstance, build_ts, aligned=False, rhr=True),
+    "S_original": Concept(StripInstance, build_strip, aligned=False, rhr=False),
+    "S_symbreak": Concept(StripInstance, _build_symbreak, aligned=False, rhr=False),
+    "S0": Concept(StripInstance, build_strip, aligned=True, rhr=True),
+    "S1": Concept(StripInstance, _build_symbreak, aligned=True, rhr=True),
+}
+
+
+def check_concept(instance: Instance, concept: str) -> Concept:
+    """The table entry of ``concept``; raises ``ValueError`` for an unknown
+    name and ``TypeError`` for an instance of the other kind."""
+    entry = CONCEPTS.get(concept)
+    if entry is None:
+        raise ValueError(f"unknown concept {concept!r}; expected one of {sorted(CONCEPTS)}")
+    if not isinstance(instance, entry.kind):
+        raise TypeError(f"concept {concept} needs a {entry.kind.__name__}")
+    return entry
+
+
+def build_model(instance: Instance, concept: str) -> GdpModel:
+    """Build ``concept``'s model of ``instance``.
+
+    An aligned concept is ``align_model`` of its source model: the
+    disjuncts of each disjunction share one coefficient matrix (every row
+    of any of them, plus ``±x_v`` for each of its variables), with
+    right-hand sides equal to the rows' maxima over the disjunct within the
+    boxes, and a disjunct that the boxes rule out has its indicator fixed
+    at 0 by a logic row.  Raises ``ValueError`` for an unknown concept and
+    ``TypeError`` for an instance of the other kind.
+    """
+    entry = check_concept(instance, concept)
+    model = entry.build(instance)
+    if entry.aligned:
+        model = align_model(model)
+        model.name = f"{concept.lower()}_{instance.n}"
+    return model
 
 
 def gen_scheduling(n: int, seed: int) -> SchedulingInstance:

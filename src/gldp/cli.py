@@ -5,10 +5,12 @@ Subcommands: ``gen`` (write a random instance), ``build`` (model statistics),
 one instance), ``bench`` (factorial sweep to CSV, optionally with profile
 CSVs), ``profile`` (profiles from an existing results CSV), and
 ``export-mps``.  Only ``solve`` and ``bench`` take the solver flags
-``--rel-gap``, ``--time-limit`` and ``--node-limit``.  RHR runs only on
-``bench.RHR_CONCEPTS``; any other concept with ``--reform RHR`` is an error
-in ``solve``, ``reformulate`` and ``export-mps`` and a reported rejection in
-``bench``.
+``--rel-gap``, ``--time-limit`` and ``--node-limit``.  The ``--concept``
+choices are the names of ``builders.CONCEPTS``, and ``GENERATORS`` maps each
+instance kind of ``gen --kind`` and ``bench --gen`` to its generator.  RHR
+runs only on ``bench.RHR_CONCEPTS``; any other concept with ``--reform RHR``
+is an error in ``solve``, ``reformulate`` and ``export-mps`` and a reported
+rejection in ``bench``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .milp import BBConfig, solve_bb
 from .model import MilpModel, validate
 from .mps import export_mps
 
+# Instance kind -> (generator, prefix of the generated instance ids).
+GENERATORS = {"scheduling": (gen_scheduling, "sched"), "strip": (gen_strip, "strip")}
+
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-gap", type=float, default=1e-4, help="relative optimality gap")
@@ -58,8 +63,7 @@ def _parse_sizes(spec: str) -> List[int]:
 
 
 def _gen_suite(kind: str, sizes: Sequence[int], seeds: int):
-    gen = gen_scheduling if kind == "scheduling" else gen_strip
-    prefix = "sched" if kind == "scheduling" else "strip"
+    gen, prefix = GENERATORS[kind]
     return [
         (f"{prefix}_n{n}_s{seed}", gen(n, seed))
         for n in sizes
@@ -68,7 +72,7 @@ def _gen_suite(kind: str, sizes: Sequence[int], seeds: int):
 
 
 def cmd_gen(args) -> int:
-    gen = gen_scheduling if args.kind == "scheduling" else gen_strip
+    gen, _ = GENERATORS[args.kind]
     inst = gen(args.n, args.seed)
     save_instance(inst, args.output)
     print(f"wrote {args.kind} instance (n={args.n}, seed={args.seed}) to {args.output}")
@@ -180,7 +184,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    p.add_argument("--kind", choices=("scheduling", "strip"), required=True)
+    p.add_argument("--kind", choices=tuple(GENERATORS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
@@ -213,7 +217,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="factorial benchmark sweep to CSV")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--gen", choices=("scheduling", "strip"),
+    group.add_argument("--gen", choices=tuple(GENERATORS),
                        help="generate the instance suite instead of reading files")
     group.add_argument("--instances", nargs="+", help="instance JSON files")
     p.add_argument("--sizes", default="3:7", help="sizes for --gen, e.g. 3:7 or 4,6")

@@ -69,7 +69,6 @@ class BBConfig:
     rel_gap: float = 1e-4
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
-    keep_trace: bool = False
 
 
 @dataclass
@@ -87,8 +86,7 @@ class SolveResult:
 
     ``objective`` is the incumbent value (``inf`` when none exists), ``gap``
     is ``(objective - bound) / max(|objective|, 1e-9)`` and ``inf`` without
-    an incumbent.  ``trace`` (with ``keep_trace``) records
-    ``(nodes, bound, incumbent)`` at every processed node.
+    an incumbent.
     """
 
     status: str
@@ -98,7 +96,6 @@ class SolveResult:
     nodes: int
     wall_time: float
     x: Optional[np.ndarray]
-    trace: Optional[List[Tuple[int, float, float]]] = None
 
 
 class LpEngine:
@@ -266,7 +263,6 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
     t0 = time.perf_counter()
     engine = LpEngine(model)
     bins = np.array(model.binary_indices, dtype=int)
-    trace: Optional[List[Tuple[int, float, float]]] = [] if cfg.keep_trace else None
 
     nodes = 0
     incumbent = math.inf
@@ -282,7 +278,6 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
             nodes=nodes,
             wall_time=time.perf_counter() - t0,
             x=inc_x,
-            trace=trace,
         )
 
     def solve(lower=None, upper=None, basis=None) -> LpResult:
@@ -314,8 +309,6 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
     if most_fractional(root.x) is None:
         incumbent = root.objective
         inc_x = root.x
-        if trace is not None:
-            trace.append((nodes, incumbent, incumbent))
         return result("optimal", incumbent)
     heapq.heappush(
         heap, (root.objective, 0, next(counter), root.x, engine.lower, engine.upper, engine.basis())
@@ -325,8 +318,6 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         bound, neg_depth, _, x, lower, upper, basis = heapq.heappop(heap)
         if bound >= incumbent - PRUNE_TOL:
             continue
-        if trace is not None:
-            trace.append((nodes, bound, incumbent))
         if _relative_gap(incumbent, bound) <= cfg.rel_gap:
             return result("gap_limit", bound)
         if cfg.time_limit is not None and time.perf_counter() - t0 >= cfg.time_limit:

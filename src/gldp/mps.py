@@ -1,8 +1,9 @@
-"""Free-format MPS writer (and a reader for the files it writes).
+"""Free-format MPS writer.
 
-Binary columns are bracketed by ``INTORG``/``INTEND`` marker lines and all
-boxes are written explicitly in the BOUNDS section, so mainstream MILP
-solvers reconstruct the exact model.  Minimization is assumed.  Output is
+Columns are written in model order, each run of binary columns bracketed by
+``INTORG``/``INTEND`` marker lines, and all boxes are written explicitly in
+the BOUNDS section, so mainstream MILP solvers reconstruct the exact model
+with the same column order.  Minimization is assumed.  Output is
 byte-deterministic for a given model.
 """
 
@@ -12,10 +13,10 @@ import re
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from .model import EQ, GE, LE, MilpModel, MilpRow, MilpVar
+from .model import EQ, GE, LE, MilpModel
 
 _SENSE_TO_ROW = {LE: "L", GE: "G", EQ: "E"}
-_ROW_TO_SENSE = {v: k for k, v in _SENSE_TO_ROW.items()}
+_MARKER = "    MARKER                 'MARKER'                 "
 
 
 def _num(v: float) -> str:
@@ -51,21 +52,15 @@ def to_mps_string(model: MilpModel) -> str:
             per_col[v].append((f"R{ri}", a))
 
     lines.append("COLUMNS")
-
-    def emit_column(i: int) -> None:
-        entries = per_col[i] or [("OBJ", 0.0)]  # every column must appear once
-        for rowname, a in entries:
-            lines.append(f"    {names[i]}  {rowname}  {_num(a)}")
-
+    in_block = False
     for i, var in enumerate(model.variables):
-        if not var.is_binary:
-            emit_column(i)
-    binaries = model.binary_indices
-    if binaries:
-        lines.append("    MARKER                 'MARKER'                 'INTORG'")
-        for i in binaries:
-            emit_column(i)
-        lines.append("    MARKER                 'MARKER'                 'INTEND'")
+        if var.is_binary != in_block:
+            in_block = var.is_binary
+            lines.append(_MARKER + ("'INTORG'" if in_block else "'INTEND'"))
+        for rowname, a in per_col[i] or [("OBJ", 0.0)]:  # every column appears once
+            lines.append(f"    {names[i]}  {rowname}  {_num(a)}")
+    if in_block:
+        lines.append(_MARKER + "'INTEND'")
 
     lines.append("RHS")
     for ri, row in enumerate(model.rows):
@@ -82,90 +77,3 @@ def to_mps_string(model: MilpModel) -> str:
 def export_mps(model: MilpModel, path: Union[str, Path]) -> None:
     """Write the model to ``path`` in free-format MPS."""
     Path(path).write_text(to_mps_string(model))
-
-
-def read_mps(path: Union[str, Path]) -> MilpModel:
-    """Read a free-format MPS file of the dialect written by ``export_mps``.
-
-    Supported sections: NAME, ROWS, COLUMNS (with integrality markers), RHS,
-    BOUNDS (LO/UP/FX/BV), ENDATA.  Unbounded columns default to [0, +inf)
-    per MPS convention.
-    """
-    text = Path(path).read_text()
-    name = ""
-    section = ""
-    row_sense: Dict[str, str] = {}
-    row_order: List[str] = []
-    obj_row = None
-    col_order: List[str] = []
-    col_binary: Dict[str, bool] = {}
-    col_entries: Dict[str, Dict[str, float]] = {}
-    rhs: Dict[str, float] = {}
-    bounds: Dict[str, List[float]] = {}
-    in_integer = False
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        head = raw[:1].strip()
-        tokens = raw.split()
-        if head and tokens[0] in ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA"):
-            section = tokens[0]
-            if section == "NAME" and len(tokens) > 1:
-                name = tokens[1]
-            continue
-        if section == "ROWS":
-            sense, rname = tokens
-            if sense == "N":
-                obj_row = rname
-            else:
-                row_sense[rname] = _ROW_TO_SENSE[sense]
-                row_order.append(rname)
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                in_integer = tokens[2] == "'INTORG'"
-                continue
-            col = tokens[0]
-            if col not in col_entries:
-                col_entries[col] = {}
-                col_order.append(col)
-                col_binary[col] = in_integer
-            for rname, val in zip(tokens[1::2], tokens[2::2]):
-                col_entries[col][rname] = col_entries[col].get(rname, 0.0) + float(val)
-        elif section == "RHS":
-            for rname, val in zip(tokens[1::2], tokens[2::2]):
-                rhs[rname] = float(val)
-        elif section == "BOUNDS":
-            btype, _, col = tokens[0], tokens[1], tokens[2]
-            bounds.setdefault(col, [0.0, float("inf")])
-            if btype == "LO":
-                bounds[col][0] = float(tokens[3])
-            elif btype == "UP":
-                bounds[col][1] = float(tokens[3])
-            elif btype == "FX":
-                bounds[col] = [float(tokens[3])] * 2
-            elif btype == "BV":
-                bounds[col] = [0.0, 1.0]
-                col_binary[col] = True
-            else:
-                raise ValueError(f"unsupported bound type {btype}")
-
-    variables: List[MilpVar] = []
-    col_index = {c: i for i, c in enumerate(col_order)}
-    for c in col_order:
-        lo, hi = bounds.get(c, [0.0, float("inf")])
-        variables.append(MilpVar(c, lo, hi, col_binary[c]))
-    objective: Dict[int, float] = {}
-    row_coeffs: Dict[str, Dict[int, float]] = {r: {} for r in row_order}
-    for c in col_order:
-        for rname, val in col_entries[c].items():
-            if rname == obj_row:
-                if val != 0.0:
-                    objective[col_index[c]] = val
-            else:
-                row_coeffs[rname][col_index[c]] = val
-    rows = [
-        MilpRow(row_coeffs[r], rhs.get(r, 0.0), row_sense[r], f"mps:{r}")
-        for r in row_order
-    ]
-    return MilpModel(variables, rows, objective, name)

@@ -19,7 +19,7 @@ from gldp import (
     save_instance,
     shared_lhs,
 )
-from gldp.bench import CONCEPTS, CSV_FIELDS, RHR_CONCEPTS, STRIP_CONCEPTS, BenchRecord
+from gldp.bench import CONCEPTS, CSV_FIELDS, RHR_CONCEPTS, BenchRecord
 
 
 def test_load_scheduling_instance(tmp_path):
@@ -125,7 +125,7 @@ def test_rhr_concepts_are_exactly_the_shared_lhs_concepts():
         for concept in CONCEPTS
         if all(
             shared_lhs(d)
-            for d in build_model(strip if concept in STRIP_CONCEPTS else sched, concept).disjunctions
+            for d in build_model(strip if CONCEPTS[concept].kind is StripInstance else sched, concept).disjunctions
         )
     }
     assert shared == RHR_CONCEPTS
@@ -163,6 +163,14 @@ def test_csv_round_trip_preserves_infinite_gap():
     rec = BenchRecord("i0", "GP", "BM", "time_limit", math.inf, 12.0, math.inf, 7, 0.5)
     back = records_from_csv(records_to_csv([rec]))[0]
     assert math.isinf(back.objective) and math.isinf(back.gap)
+
+
+def test_csv_rejects_a_row_of_the_wrong_length():
+    rec = BenchRecord("i0", "GP", "BM", "optimal", 5.0, 5.0, 0.0, 3, 0.5)
+    text = records_to_csv([rec])
+    for bad in (text.rstrip("\n") + ",1\n", text.rsplit(",", 1)[0] + "\n"):
+        with pytest.raises(ValueError, match="line 2: .* fields, expected 9"):
+            records_from_csv(bad)
 
 
 def test_empty_instance_list_gives_header_only_csv():

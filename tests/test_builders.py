@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,9 +9,10 @@ from gldp import (
     SchedulingInstance,
     StripInstance,
     align_disjunction,
+    align_model,
     build_gp,
-    build_gp_strengthened,
     build_ip,
+    build_model,
     build_strip,
     build_ts,
     canonicalize_rows,
@@ -26,6 +28,7 @@ from gldp import (
     strip_oracle,
     validate,
 )
+from gldp.builders import CONCEPTS
 
 THREE_JOBS = SchedulingInstance(
     [Job(2, 0, 10), Job(3, 1, 10), Job(1, 4, 10)]
@@ -89,7 +92,7 @@ def test_gp_boxes_encode_release_and_due():
 def test_gp_strengthened_is_aligned_and_matches_align_pass():
     for seed in range(5):
         inst = gen_scheduling(4, seed)
-        gp, gps = build_gp(inst), build_gp_strengthened(inst)
+        gp, gps = build_gp(inst), build_model(inst, "GP_S")
         boxes = gp.boxes()
         assert all(shared_lhs(d) for d in gps.disjunctions)
         for dk, ds in zip(gp.disjunctions, gps.disjunctions):
@@ -98,7 +101,7 @@ def test_gp_strengthened_is_aligned_and_matches_align_pass():
 
 def test_gp_strengthened_two_job_bounds():
     inst = SchedulingInstance([Job(3, 0, 10), Job(2, 0, 10)])
-    m = build_gp_strengthened(inst)
+    m = build_model(inst, "GP_S")
     (d_before, _) = m.disjunctions[0].disjuncts
     rows = {tuple(sorted(r.coeffs.items())): r.rhs for r in d_before.rows}
     # x_0 - x_1 in [0 - 8, min(-3, 7 - 0)] = [-8, -3]
@@ -110,7 +113,7 @@ def test_gp_strengthened_matches_oracle_on_random_instances():
     for seed in range(20):
         inst = gen_scheduling(3, seed)
         opt = sched_oracle(inst).optimum
-        res = solve_bb(reformulate_rhr(build_gp_strengthened(inst)))
+        res = solve_bb(reformulate_rhr(build_model(inst, "GP_S")))
         assert res.objective == pytest.approx(opt, abs=1e-6)
 
 
@@ -171,7 +174,7 @@ def test_strip_two_rectangles(heights, expected):
     inst = StripInstance([Rect(3, heights[0]), Rect(4, heights[1])], W=5, UB=7)
     assert strip_oracle(inst).optimum == expected
     for variant in ("S_original", "S_symbreak", "S0", "S1"):
-        m = build_strip(inst, variant)
+        m = build_model(inst, variant)
         assert validate(m) == []
         res = solve_bb(reformulate_hull(m))
         assert res.objective == pytest.approx(expected, abs=1e-6)
@@ -185,22 +188,39 @@ def test_strip_aligned_variants_share_lhs():
         ("S0", True),
         ("S1", True),
     ):
-        m = build_strip(inst, variant)
+        m = build_model(inst, variant)
         assert all(shared_lhs(d) == aligned for d in m.disjunctions)
 
 
 def test_strip_aligned_variants_match_align_pass():
     inst = gen_strip(3, 9)
     for source, target in (("S_original", "S0"), ("S_symbreak", "S1")):
-        src, tgt = build_strip(inst, source), build_strip(inst, target)
+        src, tgt = build_model(inst, source), build_model(inst, target)
         boxes = src.boxes()
         for dk, ds in zip(src.disjunctions, tgt.disjunctions):
             assert canon_rows(align_disjunction(dk, boxes)) == canon_rows(ds)
 
 
 def test_strip_unknown_variant():
-    with pytest.raises(ValueError, match="unknown variant"):
-        build_strip(gen_strip(2, 0), "S2")
+    with pytest.raises(ValueError, match="unknown concept"):
+        build_model(gen_strip(2, 0), "S2")
+
+
+def test_concept_table_aligns_sources_and_checks_kinds():
+    instances = {SchedulingInstance: gen_scheduling(4, 2), StripInstance: gen_strip(3, 2)}
+    for name, entry in CONCEPTS.items():
+        inst = instances[entry.kind]
+        model = build_model(inst, name)
+        if entry.aligned:
+            # the source is a concept of its own, and alignment is its one change
+            assert any(not c.aligned and c.build is entry.build for c in CONCEPTS.values())
+            expected = align_model(entry.build(inst))
+            assert replace(model, name="") == replace(expected, name="")
+        else:
+            assert model == entry.build(inst)
+        (other,) = set(instances) - {entry.kind}
+        with pytest.raises(TypeError):
+            build_model(instances[other], name)
 
 
 def test_generators_deterministic_and_valid():
@@ -225,11 +245,11 @@ def test_generated_instances_are_feasible():
 def test_builder_output_always_validates():
     for seed in range(3):
         inst = gen_scheduling(4, seed)
-        for build in (build_gp, build_gp_strengthened, build_ip, build_ts):
-            assert validate(build(inst)) == []
+        for concept in ("GP", "GP_S", "IP", "TS"):
+            assert validate(build_model(inst, concept)) == []
         strip = gen_strip(3, seed)
         for variant in ("S_original", "S_symbreak", "S0", "S1"):
-            assert validate(build_strip(strip, variant)) == []
+            assert validate(build_model(strip, variant)) == []
 
 
 def test_oracle_witness_feasible_in_gp_model():

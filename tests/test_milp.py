@@ -191,12 +191,18 @@ def test_bb_determinism():
 
 
 def test_bb_bound_monotone_and_below_incumbent():
+    # Runs with a growing node limit are prefixes of one deterministic search.
     milp = reformulate_bigm(build_gp(gen_scheduling(6, 3)))
-    res = solve_bb(milp, BBConfig(keep_trace=True))
-    bounds = [b for _, b, _ in res.trace]
+    runs = []
+    limit = 1
+    while not runs or runs[-1].status == "node_limit":
+        runs.append(solve_bb(milp, BBConfig(rel_gap=0.0, node_limit=limit)))
+        limit *= 2
+    optimum = runs[-1].objective
+    assert runs[-1].status == "optimal" and len(runs) > 2
+    bounds = [r.bound for r in runs]
     assert all(b1 <= b2 + 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
-    assert all(b <= inc + 1e-6 for _, b, inc in res.trace)
-    assert res.bound <= res.objective + 1e-6
+    assert all(r.bound <= min(r.objective, optimum) + 1e-6 for r in runs)
 
 
 def test_bb_incumbent_satisfies_model_rows():

@@ -1,21 +1,25 @@
-import math
-
 import pytest
 
+# HiGHS's own MPS reader serves as an independent parser of the files written.
+from scipy.optimize._highspy import _core as highs
+
 from gldp import (
+    GE,
     LE,
     MilpModel,
     MilpRow,
     MilpVar,
+    build_model,
     build_ts,
     export_mps,
     gen_scheduling,
-    read_mps,
+    gen_strip,
+    reformulate_model,
     solve_bb,
-    solve_lp,
     to_mps_string,
     reformulate_rhr,
 )
+from gldp.mps import _sanitized_names
 
 
 def box_lp():
@@ -27,14 +31,23 @@ def box_lp():
     )
 
 
+def read_back(tmp_path, milp):
+    """Write ``milp`` as MPS and read the file with HiGHS."""
+    path = tmp_path / "m.mps"
+    export_mps(milp, path)
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == highs.HighsStatus.kOk
+    return h
+
+
 def test_mps_single_variable_round_trip(tmp_path):
-    path = tmp_path / "tiny.mps"
-    export_mps(box_lp(), path)
-    text = path.read_text()
+    text = to_mps_string(box_lp())
     assert text.startswith("NAME")
     assert text.rstrip().endswith("ENDATA")
-    back = read_mps(path)
-    assert solve_lp(back).objective == pytest.approx(3.0)
+    h = read_back(tmp_path, box_lp())
+    h.run()
+    assert h.getInfo().objective_function_value == pytest.approx(3.0)
 
 
 def test_mps_zero_row_model_is_valid():
@@ -62,17 +75,46 @@ def test_mps_marker_block_brackets_binaries():
         assert f" LO BND  {v.name}" in text and f" UP BND  {v.name}" in text
 
 
+@pytest.mark.parametrize(
+    "instance,concept,reform",
+    [
+        (gen_scheduling(4, 1), "GP", "HR"),
+        (gen_scheduling(4, 2), "GP_S", "RHR"),
+        (gen_strip(3, 3), "S1", "HR"),
+        (gen_scheduling(4, 4), "TS", "BM"),
+    ],
+)
+def test_mps_round_trip_is_exact(tmp_path, instance, concept, reform):
+    milp = reformulate_model(build_model(instance, concept), reform)
+    lp = read_back(tmp_path, milp).getLp()
+    n = len(milp.variables)
+    assert list(lp.col_names_) == _sanitized_names(milp)
+    assert list(lp.col_lower_) == [v.lower for v in milp.variables]
+    assert list(lp.col_upper_) == [v.upper for v in milp.variables]
+    integer = [t == highs.HighsVarType.kInteger for t in lp.integrality_]
+    assert integer == [v.is_binary for v in milp.variables]
+    assert list(lp.col_cost_) == [milp.objective.get(i, 0.0) for i in range(n)]
+    assert lp.num_row_ == len(milp.rows)
+    inf = highs.kHighsInf
+    for r, row in enumerate(milp.rows):
+        assert lp.row_lower_[r] == (-inf if row.sense == LE else row.rhs)
+        assert lp.row_upper_[r] == (inf if row.sense == GE else row.rhs)
+    a = lp.a_matrix_  # column-wise after reading
+    entries = {
+        (int(a.index_[k]), c): float(a.value_[k])
+        for c in range(n)
+        for k in range(a.start_[c], a.start_[c + 1])
+    }
+    assert entries == {(r, c): v for r, row in enumerate(milp.rows) for c, v in row.coeffs.items()}
+
+
 def test_mps_round_trip_preserves_optimum(tmp_path):
     milp = reformulate_rhr(build_ts(gen_scheduling(4, 5)))
     direct = solve_bb(milp)
-    path = tmp_path / "ts.mps"
-    export_mps(milp, path)
-    back = read_mps(path)
-    assert back.num_binary == milp.num_binary
-    assert back.num_continuous == milp.num_continuous
-    assert len(back.rows) == len(milp.rows)
-    again = solve_bb(back)
-    assert again.objective == pytest.approx(direct.objective, abs=1e-6)
+    h = read_back(tmp_path, milp)
+    h.run()
+    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+    assert h.getInfo().objective_function_value == pytest.approx(direct.objective, abs=1e-6)
 
 
 def test_mps_output_deterministic():
@@ -80,7 +122,7 @@ def test_mps_output_deterministic():
     assert to_mps_string(milp) == to_mps_string(milp)
 
 
-def test_mps_name_sanitization():
+def test_mps_name_sanitization(tmp_path):
     m = MilpModel(
         variables=[MilpVar("weird name!", 0.0, 1.0), MilpVar("weird_name_", 0.0, 1.0)],
         rows=[MilpRow({0: 1.0, 1: 1.0}, 1.0, LE, "r")],
@@ -88,15 +130,5 @@ def test_mps_name_sanitization():
     )
     text = to_mps_string(m)
     assert "weird name!" not in text
-    back_names = [v.name for v in read_mps_from_text(text).variables]
-    assert len(set(back_names)) == 2
-
-
-def read_mps_from_text(text):
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as d:
-        p = Path(d) / "m.mps"
-        p.write_text(text)
-        return read_mps(p)
+    back_names = list(read_back(tmp_path, m).getLp().col_names_)
+    assert back_names == _sanitized_names(m) and len(set(back_names)) == 2

@@ -13,7 +13,7 @@ from gldp import (
     SchedulingInstance,
     StripInstance,
     check_assignment,
-    build_strip,
+    build_model,
     gen_scheduling,
     gen_strip,
     hull_oracle_1d2d,
@@ -102,7 +102,7 @@ def test_strip_witness_geometry_is_overlap_free():
 def test_strip_witness_feasible_in_gdp_model():
     inst = gen_strip(3, 7)
     res = strip_oracle(inst)
-    m = build_strip(inst, "S_original")
+    m = build_model(inst, "S_original")
     n = inst.n
     x = {}
     for i, (px, py) in enumerate(res.witness.positions):

@@ -21,7 +21,6 @@ from gldp import (
     align_model,
     big_m_bound,
     build_gp,
-    build_gp_strengthened,
     build_ip,
     build_model,
     build_ts,
@@ -305,7 +304,7 @@ def test_align_fixes_empty_disjunct():
     # Job 0 must finish by 4, so job 1 (p = 2) cannot precede it inside the
     # boxes: that order's disjunct is empty and its indicator is fixed at 0.
     inst = SchedulingInstance([Job(3, 0, 4), Job(2, 0, 10)])
-    gps = build_gp_strengthened(inst)
+    gps = build_model(inst, "GP_S")
     assert gps.logic == [LogicRow({gps.bools.index("Y_1_0"): 1}, 0, LE)]
     z_hr = solve_lp(reformulate_hull(gps)).objective
     z_rhr = solve_lp(reformulate_rhr(gps)).objective
