@@ -222,6 +222,19 @@ def _bench_group(task) -> List[BenchRecord]:
     return records
 
 
+def _group_alone(task) -> List[BenchRecord]:
+    """Run a group whose worker died (its own or another's in the same
+    pool) again, in a fresh one-worker pool; error records if it fails
+    again."""
+    iid, _, concept, reforms, _ = task
+    _log.warning("%s %s: worker pool broke; running the group again alone", iid, concept)
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_bench_group, task).result()
+    except Exception as exc:  # the worker died again or could not be reached
+        return [_error_record(iid, concept, r, exc) for r in reforms]
+
+
 def run_bench(
     instances: Sequence[Tuple[str, Instance]],
     concepts: Sequence[str],
@@ -235,14 +248,23 @@ def run_bench(
     ``(concept, reformulation, reason)`` triple for a pair that cannot run;
     rejected pairs are reported rather than silently skipped.  Record order
     follows the input orders of instances, concepts, and reformulations.
-    An unknown concept, or one that does not fit an instance's kind, raises
-    before any run starts.  Each (instance, concept) model is built once and
-    shared by its reformulations.  A run that raises gets a record with
-    status ``error``, ``inf`` objective, bound and gap, and 0 nodes and wall
-    time; the exception is logged and the sweep goes on.  A worker process
-    that dies breaks the pool, so its run and every run not yet finished get
-    such records.
+    An unknown concept or reformulation raises ``ValueError``, and a concept
+    that does not fit an instance's kind ``TypeError``, before any run
+    starts.  Each (instance, concept) model is built once and shared by its
+    reformulations.  A run that raises gets a record with status ``error``,
+    ``inf`` objective, bound and gap, and 0 nodes and wall time; the
+    exception is logged and the sweep goes on.  A worker process that dies
+    breaks the pool, and every group not yet finished fails with it; each
+    failed group is then run again alone, in a fresh one-worker pool, and
+    only a group that fails again gets error records.
     """
+    for kind, names, known in (
+        ("concept", concepts, sorted(CONCEPTS)),
+        ("reformulation", reformulations, list(REFORMULATIONS)),
+    ):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {kind} {name!r}; expected one of {known}")
     for _, inst in instances:
         for concept in concepts:
             check_concept(inst, concept)
@@ -263,13 +285,10 @@ def run_bench(
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_bench_group, t) for t in tasks]
-            groups = []
-            for task, fut in zip(tasks, futures):
-                try:
-                    groups.append(fut.result())
-                except Exception as exc:  # the worker died or could not be reached
-                    iid, _, concept, reforms, _ = task
-                    groups.append([_error_record(iid, concept, r, exc) for r in reforms])
+        groups = [
+            _group_alone(t) if fut.exception() is not None else fut.result()
+            for t, fut in zip(tasks, futures)
+        ]
     else:
         groups = [_bench_group(t) for t in tasks]
     return [rec for group in groups for rec in group], rejections

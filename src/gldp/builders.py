@@ -25,7 +25,7 @@ equals the hull's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
@@ -420,8 +420,7 @@ def build_model(instance: Instance, concept: str) -> GdpModel:
     entry = check_concept(instance, concept)
     model = entry.build(instance)
     if entry.aligned:
-        model = align_model(model)
-        model.name = f"{concept.lower()}_{instance.n}"
+        model = replace(align_model(model), name=f"{concept.lower()}_{instance.n}")
     return model
 
 

@@ -9,8 +9,11 @@ re-solve is not.  ``solve_bb`` runs a best-bound branch-and-bound on one
 engine; each open node keeps the basis of its own LP, and both of its
 children start from it.  Branching fixes the most fractional binary, and the
 search ends on a relative optimality gap, matching how the case-study runs
-are reported.  ``oracles.rhr_relaxation_mask`` re-solves one engine per grid
-point.
+are reported.  The root and every child take one path: solve the node's LP,
+then stop on the time limit, drop an infeasible or bound-pruned node, take
+an integral one as the incumbent, or queue it.  An unbounded LP raises at
+any node, though with finite boxes it can only happen at the root.
+``oracles.rhr_relaxation_mask`` re-solves one engine per grid point.
 
 No cutting planes and no model tightening are applied anywhere: node
 relaxations are exactly the formulation being measured, so bound
@@ -24,7 +27,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from scipy.optimize._highspy import _core as highs
 from .model import EQ, GE, LE, MilpModel
 
 INT_TOL = 1e-6
-FEAS_TOL = 1e-7
 GAP_EPS = 1e-9
 PRUNE_TOL = 1e-9
 
@@ -208,21 +210,13 @@ def linprog(
     )
 
 
-def solve_lp(
-    model: MilpModel,
-    bound_overrides: Optional[Mapping[int, Tuple[float, float]]] = None,
-) -> LpResult:
+def solve_lp(model: MilpModel) -> LpResult:
     """Solve the LP relaxation of ``model`` (binary integrality dropped).
 
-    ``bound_overrides`` replaces selected variable boxes, e.g. to fix a
-    variable to a point.  All boxes must be finite, which rules out
-    unbounded LPs.
+    All boxes must be finite, which rules out unbounded LPs.  For other
+    column bounds, use ``LpEngine(model).solve(lower, upper)``.
     """
-    engine = LpEngine(model)
-    lower, upper = engine.lower.copy(), engine.upper.copy()
-    for v, (lo, hi) in (bound_overrides or {}).items():
-        lower[v], upper[v] = lo, hi
-    return engine.solve(lower, upper)
+    return LpEngine(model).solve()
 
 
 def max_violation(model: MilpModel, x: np.ndarray) -> float:
@@ -253,7 +247,8 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
     Best-bound node selection (ties broken toward deeper nodes, then
     insertion order); branching fixes the most fractional binary (lowest
     index on ties) to 0 and to 1, and both children's LPs start from the
-    parent's basis.  Nodes are pruned by bound, infeasibility, and
+    parent's basis.  The root is a node like any other, with parent bound
+    ``-inf`` and depth 0.  Nodes are pruned by bound, infeasibility, and
     integrality.  Each LP gets what is left of ``time_limit``; one that runs
     out ends the search with status ``time_limit`` (bound ``-inf`` at the
     root).  Deterministic for a given model and configuration, apart from
@@ -280,22 +275,6 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
             x=inc_x,
         )
 
-    def solve(lower=None, upper=None, basis=None) -> LpResult:
-        nonlocal nodes
-        nodes += 1
-        left = math.inf
-        if cfg.time_limit is not None:
-            left = max(0.0, cfg.time_limit - (time.perf_counter() - t0))
-        return engine.solve(lower, upper, basis, left)
-
-    root = solve()
-    if root.status == "time_limit":
-        return result("time_limit", -math.inf)
-    if root.status == "infeasible":
-        return result("infeasible", math.inf)
-    if root.status != "optimal":
-        raise RuntimeError("LP relaxation unbounded despite finite boxes")
-
     def most_fractional(x: np.ndarray) -> Optional[int]:
         if bins.size == 0:
             return None
@@ -306,14 +285,36 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
     counter = itertools.count()
     # (bound, -depth, order, x, lower, upper, basis)
     heap: List[tuple] = []
-    if most_fractional(root.x) is None:
-        incumbent = root.objective
-        inc_x = root.x
-        return result("optimal", incumbent)
-    heapq.heappush(
-        heap, (root.objective, 0, next(counter), root.x, engine.lower, engine.upper, engine.basis())
-    )
 
+    def visit(lower, upper, basis, parent_bound: float, depth: int) -> bool:
+        """Solve a node's LP and decide the node: drop it when infeasible or
+        pruned by bound, take it as the incumbent when integral, else queue
+        it.  Returns False when the time limit stopped the LP."""
+        nonlocal nodes, incumbent, inc_x
+        nodes += 1
+        left = math.inf
+        if cfg.time_limit is not None:
+            left = max(0.0, cfg.time_limit - (time.perf_counter() - t0))
+        res = engine.solve(lower, upper, basis, left)
+        if res.status == "time_limit":
+            return False
+        if res.status == "unbounded":
+            raise RuntimeError("LP relaxation unbounded despite finite boxes")
+        if res.status == "infeasible":
+            return True
+        node_bound = max(res.objective, parent_bound)  # keep bounds monotone
+        if node_bound >= incumbent - PRUNE_TOL:
+            return True
+        if most_fractional(res.x) is None:
+            incumbent, inc_x = res.objective, res.x
+        else:
+            heapq.heappush(
+                heap, (node_bound, -depth, next(counter), res.x, lower, upper, engine.basis())
+            )
+        return True
+
+    if not visit(engine.lower, engine.upper, None, -math.inf, 0):
+        return result("time_limit", -math.inf)
     while heap:
         bound, neg_depth, _, x, lower, upper, basis = heapq.heappop(heap)
         if bound >= incumbent - PRUNE_TOL:
@@ -330,23 +331,8 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         for val in (0.0, 1.0):
             child_lower, child_upper = lower.copy(), upper.copy()
             child_lower[branch] = child_upper[branch] = val
-            res = solve(child_lower, child_upper, basis)
-            if res.status == "time_limit":
+            if not visit(child_lower, child_upper, basis, bound, 1 - neg_depth):
                 return result("time_limit", bound)
-            if res.status != "optimal":
-                continue
-            child_bound = max(res.objective, bound)  # keep bounds monotone
-            if child_bound >= incumbent - PRUNE_TOL:
-                continue
-            if most_fractional(res.x) is None:
-                incumbent = res.objective
-                inc_x = res.x
-            else:
-                heapq.heappush(
-                    heap,
-                    (child_bound, neg_depth - 1, next(counter), res.x,
-                     child_lower, child_upper, engine.basis()),
-                )
 
     if inc_x is None:
         return result("infeasible", math.inf)

@@ -17,6 +17,12 @@ Three passes are provided:
     summing the per-disjunct rows, leaving one inequality per shared row with
     an indicator-weighted right-hand side.  Adds no continuous variables.
 
+The passes differ only in the rows they write for a disjunction.  All three
+run one loop, ``_lower``: validate the model, copy its variables, indicators,
+global rows, logic rows and objective, then, per disjunction, canonicalize
+the disjuncts once, let the pass write its rows and add the exclusive-or row
+over the indicators.
+
 ``align_disjunction`` upgrades a disjunction to the shared-coefficient form:
 every disjunct gets every row of the disjunction plus ``±x_v`` for each of
 its variables, with right-hand sides equal to the rows' maxima over the
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .model import (
     EQ,
@@ -93,12 +99,13 @@ def shared_lhs(disjunction: Disjunction) -> bool:
     Rows are canonicalized first; the comparison is positional and requires
     exact coefficient equality (no rescaling detection).
     """
-    canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
-    first = [_coeff_key(r) for r in canon[0].rows]
-    for d in canon[1:]:
-        if [_coeff_key(r) for r in d.rows] != first:
-            return False
-    return True
+    return _same_lhs([canonicalize_rows(d).rows for d in disjunction.disjuncts])
+
+
+def _same_lhs(canon: Sequence[Sequence[LinRow]]) -> bool:
+    """True iff all disjuncts' canonical rows have the same coefficient vectors."""
+    first = [_coeff_key(r) for r in canon[0]]
+    return all([_coeff_key(r) for r in rows] == first for rows in canon[1:])
 
 
 def _difference_form(
@@ -231,14 +238,14 @@ def align_model(model: GdpModel) -> GdpModel:
     return replace(model, disjunctions=disjunctions, logic=logic)
 
 
-def _require_valid(model: GdpModel) -> None:
+def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpModel:
+    """The loop every pass shares (see the module docstring).  For each
+    disjunction, ``emit(b, tag, canon, ys)`` gets the builder, the
+    disjunction's tag, each disjunct's canonical rows and indicator column."""
+    # a global looked up on each call, so a wrapper of gldp.reformulate.validate sees it
     diags = validate(model)
     if diags:
         raise ValueError("invalid model: " + "; ".join(diags))
-
-
-def _base_builder(model: GdpModel, pass_name: str) -> Tuple[_MilpBuilder, List[int]]:
-    """Copy variables, globals, logic, and objective shared by every pass."""
     b = _MilpBuilder(f"{model.name or 'model'}_{pass_name}")
     for v in model.vars:
         b.add_cont(v.name, v.lower, v.upper)
@@ -253,15 +260,13 @@ def _base_builder(model: GdpModel, pass_name: str) -> Tuple[_MilpBuilder, List[i
             f"logic[{li}]",
         )
     b.objective = {v: float(a) for v, a in model.objective.items()}
-    return b, ymap
-
-
-def _xor_row(b: _MilpBuilder, ymap: List[int], disj: Disjunction, tag: str) -> None:
-    b.add_row({ymap[d.indicator]: 1.0 for d in disj.disjuncts}, EQ, 1.0, tag)
-
-
-def _disj_tag(k: int, disj: Disjunction) -> str:
-    return f"d{k}" + (f"({disj.label})" if disj.label else "")
+    for k, disj in enumerate(model.disjunctions):
+        tag = f"d{k}" + (f"({disj.label})" if disj.label else "")
+        canon = [canonicalize_rows(d).rows for d in disj.disjuncts]
+        ys = [ymap[d.indicator] for d in disj.disjuncts]
+        emit(b, tag, canon, ys)
+        b.add_row(dict.fromkeys(ys, 1.0), EQ, 1.0, f"{pass_name}:{tag}:xor")
+    return b.build()
 
 
 def reformulate_bigm(model: GdpModel) -> MilpModel:
@@ -272,20 +277,17 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     one assignment equality per disjunction.  No continuous variables are
     added.
     """
-    _require_valid(model)
     boxes = model.boxes()
-    b, ymap = _base_builder(model, "bigm")
-    for k, disj in enumerate(model.disjunctions):
-        tag = _disj_tag(k, disj)
-        for j, d in enumerate(disj.disjuncts):
-            y = ymap[d.indicator]
-            for ri, row in enumerate(canonicalize_rows(d).rows):
+
+    def emit(b: _MilpBuilder, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+        for j, (rows, y) in enumerate(zip(canon, ys)):
+            for ri, row in enumerate(rows):
                 m = max(0.0, big_m_bound(row, boxes))
                 coeffs = dict(row.coeffs)
                 coeffs[y] = m
                 b.add_row(coeffs, LE, row.rhs + m, f"bigm:{tag}:j{j}:r{ri}")
-        _xor_row(b, ymap, disj, f"bigm:{tag}:xor")
-    return b.build()
+
+    return _lower(model, "bigm", emit)
 
 
 def reformulate_hull(model: GdpModel) -> MilpModel:
@@ -295,36 +297,30 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     disaggregated for that disjunction; variables with zero coefficients
     would contribute vacuous copies.
     """
-    _require_valid(model)
-    b, ymap = _base_builder(model, "hull")
-    for k, disj in enumerate(model.disjunctions):
-        tag = _disj_tag(k, disj)
-        canon = [canonicalize_rows(d) for d in disj.disjuncts]
-        dvars = sorted({v for d in canon for r in d.rows for v in r.coeffs})
+
+    def emit(b: _MilpBuilder, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+        dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
         copies: Dict[Tuple[int, int], int] = {}
-        for j, d in enumerate(canon):
-            y = ymap[d.indicator]
+        for j, (rows, y) in enumerate(zip(canon, ys)):
             for v in dvars:
-                lo, hi = model.vars[v].lower, model.vars[v].upper
-                copies[(j, v)] = b.add_cont(
-                    f"{model.vars[v].name}__{tag}_j{j}", min(lo, 0.0), max(hi, 0.0)
-                )
-            for ri, row in enumerate(d.rows):
-                coeffs = {copies[(j, v)]: a for v, a in row.coeffs.items()}
+                var = model.vars[v]
+                lo, hi = min(var.lower, 0.0), max(var.upper, 0.0)
+                copies[j, v] = b.add_cont(f"{var.name}__{tag}_j{j}", lo, hi)
+            for ri, row in enumerate(rows):
+                coeffs = {copies[j, v]: a for v, a in row.coeffs.items()}
                 coeffs[y] = -row.rhs
                 b.add_row(coeffs, LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
             for v in dvars:
-                lo, hi = model.vars[v].lower, model.vars[v].upper
-                xh = copies[(j, v)]
-                b.add_row({xh: 1.0, y: -hi}, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
-                b.add_row({xh: -1.0, y: lo}, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
+                var, xh = model.vars[v], copies[j, v]
+                b.add_row({xh: 1.0, y: -var.upper}, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
+                b.add_row({xh: -1.0, y: var.lower}, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
         for v in dvars:
             coeffs = {v: 1.0}
             for j in range(len(canon)):
-                coeffs[copies[(j, v)]] = -1.0
+                coeffs[copies[j, v]] = -1.0
             b.add_row(coeffs, EQ, 0.0, f"hull:{tag}:agg[{v}]")
-        _xor_row(b, ymap, disj, f"hull:{tag}:xor")
-    return b.build()
+
+    return _lower(model, "hull", emit)
 
 
 def reformulate_rhr(model: GdpModel) -> MilpModel:
@@ -346,21 +342,16 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     meet these conditions; otherwise the relaxation may be weaker than the
     hull's.
     """
-    _require_valid(model)
-    b, ymap = _base_builder(model, "rhr")
-    for k, disj in enumerate(model.disjunctions):
-        tag = _disj_tag(k, disj)
-        if not shared_lhs(disj):
+
+    def emit(b: _MilpBuilder, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+        if not _same_lhs(canon):
             raise SharedLhsViolation(
-                f"disjunction {k}"
-                + (f" ({disj.label})" if disj.label else "")
-                + " does not share a left-hand side; align it first"
+                f"disjunction {tag} does not share a left-hand side; align it first"
             )
-        canon = [canonicalize_rows(d) for d in disj.disjuncts]
-        for ri in range(len(canon[0].rows)):
-            coeffs = dict(canon[0].rows[ri].coeffs)
-            for j, d in enumerate(canon):
-                coeffs[ymap[d.indicator]] = -d.rows[ri].rhs
+        for ri, row in enumerate(canon[0]):
+            coeffs = dict(row.coeffs)
+            for rows, y in zip(canon, ys):
+                coeffs[y] = -rows[ri].rhs
             b.add_row(coeffs, LE, 0.0, f"rhr:{tag}:r{ri}")
-        _xor_row(b, ymap, disj, f"rhr:{tag}:xor")
-    return b.build()
+
+    return _lower(model, "rhr", emit)

@@ -118,6 +118,19 @@ def test_run_bench_rejects_ip_rhr():
     assert all(c in rejections[0][2] for c in RHR_CONCEPTS)
 
 
+@pytest.mark.parametrize("seeds", [1, 0])
+@pytest.mark.parametrize(
+    "concepts, reformulations, message",
+    [
+        (["GP"], ["bm", "HR"], r"unknown reformulation 'bm'; expected one of \['BM', 'HR', 'RHR'\]"),
+        (["GP", "gp"], ["BM"], r"unknown concept 'gp'; expected one of \['GP', 'GP_S', "),
+    ],
+)
+def test_run_bench_rejects_unknown_names(seeds, concepts, reformulations, message):
+    with pytest.raises(ValueError, match=message):
+        run_bench(sched_instances(3, seeds), concepts, reformulations)
+
+
 def test_rhr_concepts_are_exactly_the_shared_lhs_concepts():
     sched, strip = gen_scheduling(4, 0), gen_strip(3, 0)
     shared = {
@@ -273,3 +286,29 @@ def test_a_failing_run_does_not_abort_the_sweep(monkeypatch, caplog):
     assert "sched_n3_s1 GP x HR failed: RuntimeError" in caplog.text
     # an error record never counts as solved
     assert "GP_HR" in emit_profile(records, axis="time").splitlines()[0]
+
+
+def test_a_dying_worker_costs_only_its_own_group(monkeypatch, caplog):
+    import os
+
+    import gldp.bench
+
+    instances = sched_instances(3, 3)
+    clean, _ = run_bench(instances, concepts=["GP", "TS"], reformulations=["BM", "HR"])
+    real_solve_bb = gldp.bench.solve_bb
+
+    def dying_solve_bb(milp, config=None):
+        if milp.name == "ts3_hull":  # the worker process dies on every TS x HR run
+            os._exit(1)
+        return real_solve_bb(milp, config)
+
+    monkeypatch.setattr(gldp.bench, "solve_bb", dying_solve_bb)
+    records, _ = run_bench(
+        instances, concepts=["GP", "TS"], reformulations=["BM", "HR"], workers=2
+    )
+    key = lambda r: (r.instance, r.concept, r.reformulation, r.status, r.objective, r.nodes)
+    assert [key(r)[:3] for r in records] == [key(r)[:3] for r in clean]
+    # the three TS groups die twice and lose both of their runs; GP is untouched
+    assert [r.status == "error" for r in records] == [r.concept == "TS" for r in clean]
+    assert [key(r) for r in records if r.concept == "GP"] == [key(r) for r in clean if r.concept == "GP"]
+    assert "running the group again alone" in caplog.text

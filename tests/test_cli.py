@@ -117,3 +117,17 @@ def test_bench_reports_failed_runs(tmp_path, capsys, monkeypatch):
                  "-o", str(out)]) == 0
     assert "2 run(s) raised an error" in capsys.readouterr().err
     assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["error", "error"]
+
+
+@pytest.mark.parametrize(
+    "flag, name, message",
+    [("--concepts", "GPX", "unknown concept 'GPX'"), ("--reforms", "bm", "unknown reformulation 'bm'")],
+)
+def test_bench_rejects_unknown_names(tmp_path, capsys, flag, name, message):
+    inst = write_instance(tmp_path)
+    out = tmp_path / "r.csv"
+    argv = ["bench", "--instances", str(inst), "--concepts", "TS", "--reforms", "BM", "-o", str(out)]
+    argv[argv.index(flag) + 1] = name
+    assert main(argv) == 1
+    assert f"error: {message}; expected one of" in capsys.readouterr().err
+    assert not out.exists()

@@ -59,7 +59,7 @@ def test_box_only_lp():
 
 
 def test_lp_bound_overrides():
-    res = solve_lp(box_lp(), {0: (7.0, 7.0)})
+    res = LpEngine(box_lp()).solve(np.array([7.0]), np.array([7.0]))
     assert res.objective == pytest.approx(7.0)
 
 

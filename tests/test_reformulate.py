@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,7 @@ from gldp import (
     solve_lp,
     validate,
 )
+from gldp.milp import LpEngine
 
 
 def interval_union_model():
@@ -173,10 +175,11 @@ def test_hull_links_scale_with_indicator():
     milp = reformulate_hull(interval_union_model())
     # forcing y1 = 1 pins the second copy at 0 and x in [0, 2]
     y1 = next(i for i, v in enumerate(milp.variables) if v.name == "y1")
-    res = solve_lp(milp, {y1: (1.0, 1.0)})
-    assert res.status == "optimal"
-    milp.objective = {0: -1.0}
-    res = solve_lp(milp, {y1: (1.0, 1.0)})
+    engine = LpEngine(milp)
+    lower, upper = engine.lower.copy(), engine.upper.copy()
+    lower[y1] = upper[y1] = 1.0
+    assert engine.solve(lower, upper).status == "optimal"
+    res = LpEngine(replace(milp, objective={0: -1.0})).solve(lower, upper)
     assert -res.objective == pytest.approx(2.0, abs=1e-9)
 
 
