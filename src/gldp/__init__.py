@@ -15,12 +15,11 @@ from .model import (
     Disjunction,
     GdpModel,
     LinRow,
-    LogicRow,
     MilpModel,
-    MilpRow,
     MilpVar,
     canonicalize_rows,
     check_assignment,
+    row_range,
     validate,
 )
 from .reformulate import (

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import EQ, LE, ContinuousVar, Disjunct, Disjunction, GdpModel, LinRow, LogicRow
+from .model import EQ, LE, ContinuousVar, Disjunct, Disjunction, GdpModel, LinRow
 from .reformulate import align_model
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def build_ip(inst: SchedulingInstance) -> GdpModel:
             label="last",
         )
     )
-    logic = [LogicRow({first[i]: 1, last[i]: 1}, 1, LE) for i in range(n)]
+    logic = [LinRow({first[i]: 1, last[i]: 1}, 1, LE) for i in range(n)]
     return GdpModel(
         vars=vars_,
         bools=bools,
@@ -282,7 +282,7 @@ def build_ts(inst: SchedulingInstance) -> GdpModel:
                 )
             )
     logic = [
-        LogicRow({ybin(i, t): 1 for t in range(n)}, 1, EQ) for i in range(n)
+        LinRow({ybin(i, t): 1 for t in range(n)}, 1, EQ) for i in range(n)
     ]
     return GdpModel(
         vars=vars_,

@@ -44,7 +44,9 @@ GENERATORS = {"scheduling": (gen_scheduling, "sched"), "strip": (gen_strip, "str
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-gap", type=float, default=1e-4, help="relative optimality gap")
+    p.add_argument(
+        "--rel-gap", type=float, default=BBConfig.rel_gap, help="relative optimality gap"
+    )
     p.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
     p.add_argument("--node-limit", type=int, default=None, help="node cap per solve")
 

@@ -34,7 +34,7 @@ import numpy as np
 # HiGHS through SciPy's private binding: the only module that imports it.
 from scipy.optimize._highspy import _core as highs
 
-from .model import EQ, GE, LE, MilpModel
+from .model import MilpModel, row_range
 
 INT_TOL = 1e-6
 GAP_EPS = 1e-9
@@ -114,8 +114,8 @@ class LpEngine:
         start = np.zeros(len(rows) + 1, dtype=np.int32)
         np.cumsum(np.fromiter((len(r.coeffs) for r in rows), np.int32, len(rows)), out=start[1:])
         nnz = int(start[-1])
-        rhs = np.fromiter((r.rhs for r in rows), float, len(rows))
-        sense = np.array([r.sense for r in rows], dtype=object)
+        ranges = itertools.chain.from_iterable(row_range(r.sense, r.rhs) for r in rows)
+        bounds = np.fromiter(ranges, float, 2 * len(rows)).reshape(-1, 2)
         self.n = n
         self.lower = np.fromiter((v.lower for v in model.variables), float, n)
         self.upper = np.fromiter((v.upper for v in model.variables), float, n)
@@ -130,8 +130,7 @@ class LpEngine:
         lp.col_cost_ = cost
         lp.col_lower_ = self.lower
         lp.col_upper_ = self.upper
-        lp.row_lower_ = np.where(sense == LE, -highs.kHighsInf, rhs)
-        lp.row_upper_ = np.where(sense == GE, highs.kHighsInf, rhs)
+        lp.row_lower_, lp.row_upper_ = bounds[:, 0], bounds[:, 1]
         lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
         lp.a_matrix_.num_col_ = n
         lp.a_matrix_.num_row_ = len(rows)
@@ -225,13 +224,7 @@ def max_violation(model: MilpModel, x: np.ndarray) -> float:
     for i, v in enumerate(model.variables):
         worst = max(worst, v.lower - x[i], x[i] - v.upper)
     for r in model.rows:
-        lhs = sum(a * x[v] for v, a in r.coeffs.items())
-        if r.sense == LE:
-            worst = max(worst, lhs - r.rhs)
-        elif r.sense == GE:
-            worst = max(worst, r.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - r.rhs))
+        worst = max(worst, r.violation(x))
     return worst
 
 
@@ -283,7 +276,7 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         return None if frac[best] <= INT_TOL else int(bins[best])
 
     counter = itertools.count()
-    # (bound, -depth, order, x, lower, upper, basis)
+    # (bound, -depth, order, branch variable, lower, upper, basis)
     heap: List[tuple] = []
 
     def visit(lower, upper, basis, parent_bound: float, depth: int) -> bool:
@@ -305,18 +298,19 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         node_bound = max(res.objective, parent_bound)  # keep bounds monotone
         if node_bound >= incumbent - PRUNE_TOL:
             return True
-        if most_fractional(res.x) is None:
+        branch = most_fractional(res.x)
+        if branch is None:
             incumbent, inc_x = res.objective, res.x
         else:
             heapq.heappush(
-                heap, (node_bound, -depth, next(counter), res.x, lower, upper, engine.basis())
+                heap, (node_bound, -depth, next(counter), branch, lower, upper, engine.basis())
             )
         return True
 
     if not visit(engine.lower, engine.upper, None, -math.inf, 0):
         return result("time_limit", -math.inf)
     while heap:
-        bound, neg_depth, _, x, lower, upper, basis = heapq.heappop(heap)
+        bound, neg_depth, _, branch, lower, upper, basis = heapq.heappop(heap)
         if bound >= incumbent - PRUNE_TOL:
             continue
         if _relative_gap(incumbent, bound) <= cfg.rel_gap:
@@ -326,8 +320,6 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
         if cfg.node_limit is not None and nodes >= cfg.node_limit:
             return result("node_limit", bound)
 
-        branch = most_fractional(x)
-        assert branch is not None  # integral nodes never enter the heap
         for val in (0.0, 1.0):
             child_lower, child_upper = lower.copy(), upper.copy()
             child_lower[branch] = child_upper[branch] = val

@@ -9,8 +9,13 @@ A :class:`MilpModel` is the flat mixed-integer program produced by the
 reformulation passes in :mod:`gldp.reformulate`.  Every MILP row carries a
 provenance tag naming the pass and source entity that produced it.
 
-Both model classes are treated as immutable after construction; they may be
-shared freely across threads for read-only use.
+Global, disjunct, logic and MILP rows are all of one type, :class:`LinRow`,
+and :func:`row_range` is the one place where a row sense gets its meaning:
+the interval that a row's activity must lie in.
+
+A :class:`GdpModel` is treated as immutable after construction, and a
+:class:`MilpModel` once its pass returns it; either may then be shared
+freely across threads for read-only use.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 LE = "<="
@@ -40,24 +45,42 @@ class ContinuousVar:
     upper: float
 
 
+def row_range(sense: str, rhs: float) -> Tuple[float, float]:
+    """The interval ``(lo, hi)`` that a row's activity must lie in; an
+    unknown sense raises ``ValueError``."""
+    if sense == LE:
+        return -math.inf, rhs
+    if sense == GE:
+        return rhs, math.inf
+    if sense == EQ:
+        return rhs, rhs
+    raise ValueError(f"unknown row sense {sense!r}")
+
+
 @dataclass(frozen=True)
 class LinRow:
-    """One linear row ``sum(coeffs[v] * x[v]) <sense> rhs`` over continuous vars."""
+    """One linear row ``sum(coeffs[v] * x[v]) <sense> rhs``.
 
-    coeffs: Dict[VarId, float]
+    The one row type: the global and disjunct rows of a :class:`GdpModel`
+    over its continuous variables, its logic rows over its indicators, and
+    every row of a :class:`MilpModel`, where ``provenance`` names the pass
+    and source entity that wrote it.
+    """
+
+    coeffs: Dict[int, float]
     rhs: float
     sense: str = LE
+    provenance: str = ""
 
-    def activity(self, x: Mapping[VarId, float]) -> float:
-        return sum(a * x[v] for v, a in self.coeffs.items())
+    def violation(self, x: Mapping[int, float]) -> float:
+        """How far the row's activity at ``x`` lies outside its range
+        (negative when strictly inside)."""
+        lo, hi = row_range(self.sense, self.rhs)
+        lhs = sum(a * x[v] for v, a in self.coeffs.items())
+        return max(lo - lhs, lhs - hi)
 
-    def satisfied(self, x: Mapping[VarId, float], tol: float = 1e-6) -> bool:
-        lhs = self.activity(x)
-        if self.sense == LE:
-            return lhs <= self.rhs + tol
-        if self.sense == GE:
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
+    def satisfied(self, x: Mapping[int, float], tol: float = 1e-6) -> bool:
+        return self.violation(x) <= tol
 
 
 @dataclass(frozen=True)
@@ -90,15 +113,6 @@ class Disjunction:
         object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class LogicRow:
-    """Integer linear row over binary indicators (``<=`` or ``==``)."""
-
-    coeffs: Dict[BoolId, int]
-    rhs: int
-    sense: str = LE
-
-
 @dataclass
 class GdpModel:
     """A generalized linear disjunctive program (minimization)."""
@@ -108,7 +122,7 @@ class GdpModel:
     objective: Dict[VarId, float]
     global_rows: List[LinRow]
     disjunctions: List[Disjunction]
-    logic: List[LogicRow]
+    logic: List[LinRow]
     name: str = ""
 
     def boxes(self) -> Dict[VarId, Tuple[float, float]]:
@@ -130,17 +144,13 @@ def _row_sort_key(row: LinRow) -> tuple:
 def _as_le_rows(row: LinRow) -> List[LinRow]:
     """Rewrite a row as one or two ``<=`` rows with zero coefficients dropped."""
     coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
-    rhs = float(row.rhs)
-    if row.sense == LE:
-        return [LinRow(coeffs, rhs, LE)]
-    if row.sense == GE:
-        return [LinRow({v: -a for v, a in coeffs.items()}, -rhs, LE)]
-    if row.sense == EQ:
-        return [
-            LinRow(dict(coeffs), rhs, LE),
-            LinRow({v: -a for v, a in coeffs.items()}, -rhs, LE),
-        ]
-    raise ValueError(f"unknown row sense {row.sense!r}")
+    lo, hi = row_range(row.sense, float(row.rhs))
+    rows: List[LinRow] = []
+    if hi < math.inf:
+        rows.append(LinRow(coeffs, hi))
+    if lo > -math.inf:
+        rows.append(LinRow({v: -a for v, a in coeffs.items()}, -lo))
+    return rows
 
 
 def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
@@ -280,9 +290,7 @@ def check_assignment(
                     f"disjunction {k} ({disj.label}), disjunct {active[0]}, row {ri} violated"
                 )
     for li, lrow in enumerate(model.logic):
-        lhs = sum(a * (1 if y[b] else 0) for b, a in lrow.coeffs.items())
-        ok = lhs <= lrow.rhs + tol if lrow.sense == LE else abs(lhs - lrow.rhs) <= tol
-        if not ok:
+        if not lrow.satisfied({b: 1 if y[b] else 0 for b in lrow.coeffs}, tol):
             problems.append(f"logic row {li} violated")
     return problems
 
@@ -295,24 +303,32 @@ class MilpVar:
     is_binary: bool = False
 
 
-@dataclass(frozen=True)
-class MilpRow:
-    """A MILP row over mixed variables, tagged with its provenance."""
-
-    coeffs: Dict[int, float]
-    rhs: float
-    sense: str
-    provenance: str
-
-
 @dataclass
 class MilpModel:
-    """A flat mixed-integer linear program (minimization)."""
+    """A flat mixed-integer linear program (minimization).
 
-    variables: List[MilpVar]
-    rows: List[MilpRow]
-    objective: Dict[int, float]
+    A pass starts from an empty model and fills it with :meth:`add_cont`,
+    :meth:`add_bin` and :meth:`add_row`.
+    """
+
+    variables: List[MilpVar] = field(default_factory=list)
+    rows: List[LinRow] = field(default_factory=list)
+    objective: Dict[int, float] = field(default_factory=dict)
     name: str = ""
+
+    def add_cont(self, name: str, lower: float, upper: float) -> int:
+        self.variables.append(MilpVar(name, float(lower), float(upper), False))
+        return len(self.variables) - 1
+
+    def add_bin(self, name: str) -> int:
+        self.variables.append(MilpVar(name, 0.0, 1.0, True))
+        return len(self.variables) - 1
+
+    def add_row(
+        self, coeffs: Mapping[int, float], sense: str, rhs: float, provenance: str
+    ) -> None:
+        clean = {v: float(a) for v, a in coeffs.items() if a != 0.0}
+        self.rows.append(LinRow(clean, float(rhs), sense, provenance))
 
     @property
     def binary_indices(self) -> List[int]:
@@ -339,30 +355,3 @@ class MilpModel:
             "rows_eq": by_sense[EQ],
             "nonzeros": sum(len(r.coeffs) for r in self.rows),
         }
-
-
-class _MilpBuilder:
-    """Incremental MILP assembly used by the reformulation passes."""
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self.variables: List[MilpVar] = []
-        self.rows: List[MilpRow] = []
-        self.objective: Dict[int, float] = {}
-
-    def add_cont(self, name: str, lower: float, upper: float) -> int:
-        self.variables.append(MilpVar(name, float(lower), float(upper), False))
-        return len(self.variables) - 1
-
-    def add_bin(self, name: str) -> int:
-        self.variables.append(MilpVar(name, 0.0, 1.0, True))
-        return len(self.variables) - 1
-
-    def add_row(
-        self, coeffs: Mapping[int, float], sense: str, rhs: float, provenance: str
-    ) -> None:
-        clean = {v: float(a) for v, a in coeffs.items() if a != 0.0}
-        self.rows.append(MilpRow(clean, float(rhs), sense, provenance))
-
-    def build(self) -> MilpModel:
-        return MilpModel(self.variables, self.rows, dict(self.objective), self.name)

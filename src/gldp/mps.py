@@ -28,7 +28,7 @@ def _sanitized_names(model: MilpModel) -> List[str]:
     used = set()
     for i, var in enumerate(model.variables):
         name = re.sub(r"[^A-Za-z0-9_.]", "_", var.name) or f"v{i}"
-        if name in used:
+        while name in used:
             name = f"{name}_{i}"
         used.add(name)
         names.append(name)

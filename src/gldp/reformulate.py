@@ -50,9 +50,7 @@ from .model import (
     Disjunction,
     GdpModel,
     LinRow,
-    LogicRow,
     MilpModel,
-    _MilpBuilder,
     canonicalize_rows,
     validate,
 )
@@ -233,32 +231,27 @@ def align_model(model: GdpModel) -> GdpModel:
     for disj in model.disjunctions:
         if not shared_lhs(disj):
             disj, empty = _align(disj, boxes)
-            logic.extend(LogicRow({y: 1}, 0, LE) for y in empty)
+            logic.extend(LinRow({y: 1}, 0, LE) for y in empty)
         disjunctions.append(disj)
     return replace(model, disjunctions=disjunctions, logic=logic)
 
 
 def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpModel:
     """The loop every pass shares (see the module docstring).  For each
-    disjunction, ``emit(b, tag, canon, ys)`` gets the builder, the
+    disjunction, ``emit(b, tag, canon, ys)`` gets the MILP being built, the
     disjunction's tag, each disjunct's canonical rows and indicator column."""
     # a global looked up on each call, so a wrapper of gldp.reformulate.validate sees it
     diags = validate(model)
     if diags:
         raise ValueError("invalid model: " + "; ".join(diags))
-    b = _MilpBuilder(f"{model.name or 'model'}_{pass_name}")
+    b = MilpModel(name=f"{model.name or 'model'}_{pass_name}")
     for v in model.vars:
         b.add_cont(v.name, v.lower, v.upper)
     ymap = [b.add_bin(nm) for nm in model.bools]
     for gi, row in enumerate(model.global_rows):
         b.add_row(row.coeffs, row.sense, row.rhs, f"global[{gi}]")
-    for li, lrow in enumerate(model.logic):
-        b.add_row(
-            {ymap[v]: float(a) for v, a in lrow.coeffs.items()},
-            lrow.sense,
-            float(lrow.rhs),
-            f"logic[{li}]",
-        )
+    for li, row in enumerate(model.logic):
+        b.add_row({ymap[v]: a for v, a in row.coeffs.items()}, row.sense, row.rhs, f"logic[{li}]")
     b.objective = {v: float(a) for v, a in model.objective.items()}
     for k, disj in enumerate(model.disjunctions):
         tag = f"d{k}" + (f"({disj.label})" if disj.label else "")
@@ -266,7 +259,7 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpMo
         ys = [ymap[d.indicator] for d in disj.disjuncts]
         emit(b, tag, canon, ys)
         b.add_row(dict.fromkeys(ys, 1.0), EQ, 1.0, f"{pass_name}:{tag}:xor")
-    return b.build()
+    return b
 
 
 def reformulate_bigm(model: GdpModel) -> MilpModel:
@@ -279,7 +272,7 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     """
     boxes = model.boxes()
 
-    def emit(b: _MilpBuilder, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         for j, (rows, y) in enumerate(zip(canon, ys)):
             for ri, row in enumerate(rows):
                 m = max(0.0, big_m_bound(row, boxes))
@@ -298,7 +291,7 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     would contribute vacuous copies.
     """
 
-    def emit(b: _MilpBuilder, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
         copies: Dict[Tuple[int, int], int] = {}
         for j, (rows, y) in enumerate(zip(canon, ys)):
@@ -343,7 +336,7 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     hull's.
     """
 
-    def emit(b: _MilpBuilder, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         if not _same_lhs(canon):
             raise SharedLhsViolation(
                 f"disjunction {tag} does not share a left-hand side; align it first"

@@ -17,9 +17,7 @@ from gldp import (
     Disjunction,
     GdpModel,
     LinRow,
-    LogicRow,
     MilpModel,
-    MilpRow,
     MilpVar,
     align_model,
     build_gp,
@@ -66,10 +64,20 @@ def test_lp_bound_overrides():
 def test_lp_infeasible_status():
     m = MilpModel(
         variables=[MilpVar("x", 0.0, 1.0)],
-        rows=[MilpRow({0: 1.0}, -1.0, LE, "r")],
+        rows=[LinRow({0: 1.0}, -1.0, LE, "r")],
         objective={0: 1.0},
     )
     assert solve_lp(m).status == "infeasible"
+
+
+def test_lp_rejects_an_unknown_row_sense():
+    m = MilpModel(
+        variables=[MilpVar("x", 0.0, 10.0)],
+        rows=[LinRow({0: 1.0}, 4.0, "<", "r")],
+        objective={0: 1.0},
+    )
+    with pytest.raises(ValueError, match="unknown row sense '<'"):
+        solve_lp(m)
 
 
 def interval_union_with_floor():
@@ -145,7 +153,7 @@ def test_bb_solves_at_root_when_logic_fixes_binaries():
                 ]
             )
         ],
-        logic=[LogicRow({0: 1}, 1, EQ)],
+        logic=[LinRow({0: 1}, 1, EQ)],
     )
     res = solve_bb(reformulate_bigm(m))
     assert res.status == "optimal" and res.nodes == 1
@@ -155,7 +163,7 @@ def test_bb_solves_at_root_when_logic_fixes_binaries():
 def test_bb_infeasible_model():
     m = MilpModel(
         variables=[MilpVar("x", 0.0, 1.0), MilpVar("y", 0.0, 1.0, True)],
-        rows=[MilpRow({0: 1.0, 1: 1.0}, -1.0, LE, "r")],
+        rows=[LinRow({0: 1.0, 1: 1.0}, -1.0, LE, "r")],
         objective={0: 1.0},
     )
     res = solve_bb(m)
@@ -284,8 +292,8 @@ def random_lp(draw):
     rows = []
     for k in range(draw(st.integers(0, 6))):
         coeffs = {v: a for v, a in enumerate(draw(st.lists(coef, min_size=n, max_size=n))) if a}
-        rows.append(MilpRow(coeffs, float(draw(st.integers(-8, 8))),
-                            draw(st.sampled_from([LE, GE, EQ])), f"r{k}"))
+        rows.append(LinRow(coeffs, float(draw(st.integers(-8, 8))),
+                           draw(st.sampled_from([LE, GE, EQ])), f"r{k}"))
     model = MilpModel(
         variables=[MilpVar(f"x{i}", lo, hi) for i, (lo, hi) in enumerate(boxes)],
         rows=rows,

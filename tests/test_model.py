@@ -12,7 +12,6 @@ from gldp import (
     Disjunction,
     GdpModel,
     LinRow,
-    LogicRow,
     canonicalize_rows,
     check_assignment,
     validate,
@@ -34,7 +33,7 @@ def tiny_model(**overrides):
                 label="split",
             )
         ],
-        logic=[LogicRow({0: 1, 1: 1}, 1, LE)],
+        logic=[LinRow({0: 1, 1: 1}, 1, LE)],
     )
     base.update(overrides)
     return GdpModel(**base)
@@ -88,7 +87,7 @@ def test_single_disjunct_and_duplicate_indicator_reported():
 def test_empty_row_and_bad_logic_reported():
     bad = tiny_model(global_rows=[LinRow({}, 0.0)])
     assert any("no nonzero coefficient" in d for d in validate(bad))
-    bad = tiny_model(logic=[LogicRow({0: 1.5}, 1, LE)])
+    bad = tiny_model(logic=[LinRow({0: 1.5}, 1, LE)])
     assert any("non-integer coefficient" in d for d in validate(bad))
 
 
@@ -112,7 +111,7 @@ def test_values_that_are_not_numbers_are_reported_not_raised():
                 ]
             )
         ],
-        logic=[LogicRow({0: None}, math.inf, LE)],
+        logic=[LinRow({0: None}, math.inf, LE)],
         objective={None: 1.0},
     )
     assert validate(bad) == [
@@ -197,3 +196,7 @@ def test_check_assignment_closes_the_loop():
     bad = check_assignment(m, {0: 1.0, 1: 2.0}, {0: True, 1: True})
     assert any("active disjuncts" in p for p in bad)
     assert any("logic row" in p for p in bad)
+    # a satisfied >= logic row is not reported
+    ge = tiny_model(logic=[LinRow({0: 1, 1: 1}, 1, GE)])
+    bad = check_assignment(ge, {0: 1.0, 1: 2.0}, {0: True, 1: True})
+    assert not any("logic row" in p for p in bad)

@@ -6,8 +6,8 @@ from scipy.optimize._highspy import _core as highs
 from gldp import (
     GE,
     LE,
+    LinRow,
     MilpModel,
-    MilpRow,
     MilpVar,
     build_model,
     build_ts,
@@ -122,13 +122,14 @@ def test_mps_output_deterministic():
     assert to_mps_string(milp) == to_mps_string(milp)
 
 
-def test_mps_name_sanitization(tmp_path):
+@pytest.mark.parametrize("names", [["weird name!", "weird_name_"], ["a", "a_2", "a"]])
+def test_mps_name_sanitization(tmp_path, names):
     m = MilpModel(
-        variables=[MilpVar("weird name!", 0.0, 1.0), MilpVar("weird_name_", 0.0, 1.0)],
-        rows=[MilpRow({0: 1.0, 1: 1.0}, 1.0, LE, "r")],
+        variables=[MilpVar(n, 0.0, 1.0) for n in names],
+        rows=[LinRow(dict.fromkeys(range(len(names)), 1.0), 1.0, LE, "r")],
         objective={0: 1.0},
     )
     text = to_mps_string(m)
     assert "weird name!" not in text
     back_names = list(read_back(tmp_path, m).getLp().col_names_)
-    assert back_names == _sanitized_names(m) and len(set(back_names)) == 2
+    assert back_names == _sanitized_names(m) and len(set(back_names)) == len(names)

@@ -15,7 +15,6 @@ from gldp import (
     GdpModel,
     Job,
     LinRow,
-    LogicRow,
     SchedulingInstance,
     SharedLhsViolation,
     align_disjunction,
@@ -308,7 +307,7 @@ def test_align_fixes_empty_disjunct():
     # boxes: that order's disjunct is empty and its indicator is fixed at 0.
     inst = SchedulingInstance([Job(3, 0, 4), Job(2, 0, 10)])
     gps = build_model(inst, "GP_S")
-    assert gps.logic == [LogicRow({gps.bools.index("Y_1_0"): 1}, 0, LE)]
+    assert gps.logic == [LinRow({gps.bools.index("Y_1_0"): 1}, 0, LE)]
     z_hr = solve_lp(reformulate_hull(gps)).objective
     z_rhr = solve_lp(reformulate_rhr(gps)).objective
     assert sched_oracle(inst).optimum == 5.0
