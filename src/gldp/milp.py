@@ -15,6 +15,11 @@ an integral one as the incumbent, or queue it.  An unbounded LP raises at
 any node, though with finite boxes it can only happen at the root.
 ``oracles.rhr_relaxation_mask`` re-solves one engine per grid point.
 
+HiGHS comes from SciPy's private binding, imported when the first
+:class:`LpEngine` is built, or when :func:`solve_bb` starts, before its
+clock: importing ``scipy.optimize`` takes about half a second, which a
+session that solves no LP does not pay.
+
 No cutting planes and no model tightening are applied anywhere: node
 relaxations are exactly the formulation being measured, so bound
 comparisons between reformulations are meaningful.
@@ -27,14 +32,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-# HiGHS through SciPy's private binding: the only module that imports it.
-from scipy.optimize._highspy import _core as highs
-
 from .model import MilpModel, row_range
+
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import HighsBasis
 
 INT_TOL = 1e-6
 GAP_EPS = 1e-9
@@ -47,14 +52,6 @@ LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
-
-_STATUS = {
-    highs.HighsModelStatus.kOptimal: "optimal",
-    highs.HighsModelStatus.kInfeasible: "infeasible",
-    highs.HighsModelStatus.kUnbounded: "unbounded",
-    highs.HighsModelStatus.kTimeLimit: "time_limit",
-}
-
 
 @dataclass
 class LpResult:
@@ -121,6 +118,17 @@ class LpEngine:
         self.upper = np.fromiter((v.upper for v in model.variables), float, n)
         self.columns = np.arange(n, dtype=np.int32)
 
+        # SciPy's private HiGHS binding: this module is the only one that names it.
+        from scipy.optimize._highspy import _core as highs
+
+        s = highs.HighsModelStatus
+        # HiGHS model status -> LpResult status, read by linprog.
+        self.statuses = {
+            s.kOptimal: "optimal",
+            s.kInfeasible: "infeasible",
+            s.kUnbounded: "unbounded",
+            s.kTimeLimit: "time_limit",
+        }
         lp = highs.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = len(rows)
@@ -151,7 +159,7 @@ class LpEngine:
         self,
         lower: Optional[np.ndarray] = None,
         upper: Optional[np.ndarray] = None,
-        basis: Optional[highs.HighsBasis] = None,
+        basis: Optional[HighsBasis] = None,
         time_limit: float = math.inf,
     ) -> LpResult:
         """Solve with the given column bounds (the model's boxes by default),
@@ -165,7 +173,7 @@ class LpEngine:
             time_limit,
         )
 
-    def basis(self) -> highs.HighsBasis:
+    def basis(self) -> HighsBasis:
         """The basis the last solve ended with, for a later warm start."""
         return self.highs.getBasis()
 
@@ -174,7 +182,7 @@ def linprog(
     engine: LpEngine,
     lower: np.ndarray,
     upper: np.ndarray,
-    basis: Optional[highs.HighsBasis],
+    basis: Optional[HighsBasis],
     time_limit: float,
 ) -> LpResult:
     """One HiGHS run of ``engine`` with the given bounds: the single place
@@ -195,7 +203,7 @@ def linprog(
     h.setOptionValue("time_limit", h.getRunTime() + time_limit)
     h.run()
     model_status = h.getModelStatus()
-    status = _STATUS.get(model_status)
+    status = engine.statuses.get(model_status)
     if status is None:
         raise RuntimeError(f"HiGHS LP solve ended with status {h.modelStatusToString(model_status)!r}")
     info = h.getInfo()
@@ -248,6 +256,11 @@ def solve_bb(model: MilpModel, config: Optional[BBConfig] = None) -> SolveResult
     ``wall_time`` and from where a time limit falls.
     """
     cfg = config or BBConfig()
+    # The first import of the HiGHS binding takes about half a second; it
+    # happens before the clock starts, so that it costs this solve neither
+    # wall_time nor time_limit.
+    import scipy.optimize._highspy._core  # noqa: F401
+
     t0 = time.perf_counter()
     engine = LpEngine(model)
     bins = np.array(model.binary_indices, dtype=int)

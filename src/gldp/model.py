@@ -246,9 +246,11 @@ def validate(model: GdpModel) -> List[str]:
         if not _is_integer(lrow.rhs):
             diags.append(f"logic row {li}: non-integer right-hand side")
 
-    for v in model.objective:
+    for v, a in model.objective.items():
         if not isinstance(v, numbers.Integral) or not 0 <= v < nv:
             diags.append(f"objective: references undeclared variable {v}")
+        if problem := _not_finite(a):
+            diags.append(f"objective: coefficient on variable {v} is {problem}")
 
     counts = Counter([v.name for v in model.vars] + list(model.bools))
     for n in sorted((n for n, c in counts.items() if c > 1), key=str):

@@ -4,7 +4,11 @@ These oracles are deliberately independent of the reformulation passes and
 of any LP machinery: scheduling optima come from exhaustive sequence
 enumeration, packing optima from exhaustive relation assignments evaluated
 with longest-path reasoning on difference constraints, and hull membership
-from direct vertex enumeration of the disjunct polygons.
+(``hull_oracle_1d2d``) from direct vertex enumeration of the disjunct
+polygons.  ``rhr_relaxation_mask`` is not an oracle: it is the reformulation
+under test, running ``align_model``, ``reformulate_rhr`` and an ``LpEngine``,
+and its mask is checked against ``hull_oracle_1d2d`` with
+``masks_agree_within_band``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .model import Disjunction, GdpModel, LinRow, canonicalize_rows
 from .builders import SchedulingInstance, StripInstance
@@ -389,6 +392,8 @@ def rhr_relaxation_mask(
 def masks_agree_within_band(reference: np.ndarray, other: np.ndarray, band: int = 2) -> bool:
     """True when the masks differ only within ``band`` cells of the
     reference mask's boundary."""
+    from scipy.ndimage import binary_dilation
+
     if reference.shape != other.shape:
         raise ValueError("mask shapes differ")
     disagree = reference != other

@@ -138,24 +138,30 @@ def _difference_closure(
     when the difference rows admit no point of the box.
     """
     nodes: List[Optional[int]] = list(dvars) + [None]
-    dist = {(a, b): 0.0 if a == b else math.inf for a in nodes for b in nodes}
-    for v in dvars:
-        lo, hi = boxes[v]
-        dist[v, None] = hi
-        dist[None, v] = -lo
+    pos = {v: i for i, v in enumerate(nodes)}
+    n, zero = len(nodes), len(nodes) - 1
+    d = [[0.0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for i, v in enumerate(dvars):
+        d[i][zero], d[zero][i] = boxes[v][1], -boxes[v][0]
     for r in rows:
         form = _difference_form(r.coeffs)
         if form is not None:
             a, b, t = form
-            dist[a, b] = min(dist[a, b], r.rhs / t)
-    for m in nodes:
-        for a in nodes:
-            for b in nodes:
-                if dist[a, m] + dist[m, b] < dist[a, b]:
-                    dist[a, b] = dist[a, m] + dist[m, b]
-    if any(dist[v, v] < -EMPTY_TOL for v in nodes):
+            i, j = pos[a], pos[b]
+            d[i][j] = min(d[i][j], r.rhs / t)
+    for m in range(n):
+        dm = d[m]
+        for da in d:
+            if da[m] == math.inf:
+                continue
+            # da[m] is read on each step: on a negative cycle through m it
+            # changes during the sweep.
+            for b, dmb in enumerate(dm):
+                if da[m] + dmb < da[b]:
+                    da[b] = da[m] + dmb
+    if any(d[i][i] < -EMPTY_TOL for i in range(n)):
         return None
-    return dist
+    return {(a, b): d[i][j] for i, a in enumerate(nodes) for j, b in enumerate(nodes)}
 
 
 def _align(disjunction: Disjunction, boxes: Boxes) -> Tuple[Disjunction, List[int]]:

@@ -127,6 +127,14 @@ def test_values_that_are_not_numbers_are_reported_not_raised():
     ]
 
 
+def test_objective_coefficients_must_be_finite_numbers():
+    bad = tiny_model(objective={0: math.nan, 1: "1"})
+    assert validate(bad) == [
+        "objective: coefficient on variable 0 is not finite",
+        "objective: coefficient on variable 1 is not a number",
+    ]
+
+
 def test_canonicalize_flips_ge_rows():
     d = Disjunct(0, [LinRow({1: 1.0, 0: -1.0}, 3.0, GE)])
     out = canonicalize_rows(d)

@@ -3,7 +3,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from gldp import (
@@ -36,6 +36,7 @@ from gldp import (
     validate,
 )
 from gldp.milp import LpEngine
+from gldp.reformulate import EMPTY_TOL, _difference_closure, _difference_form
 
 
 def interval_union_model():
@@ -313,6 +314,54 @@ def test_align_fixes_empty_disjunct():
     assert sched_oracle(inst).optimum == 5.0
     assert z_hr == pytest.approx(5.0, abs=1e-9)
     assert z_rhr == pytest.approx(5.0, abs=1e-9)
+
+
+def plain_closure(rows, dvars, boxes):
+    """Floyd-Warshall over a dict keyed by node pairs, the zero node as
+    ``None``: the reference for ``_difference_closure``."""
+    nodes = list(dvars) + [None]
+    dist = {(a, b): 0.0 if a == b else math.inf for a in nodes for b in nodes}
+    for v in dvars:
+        dist[v, None], dist[None, v] = boxes[v][1], -boxes[v][0]
+    for r in rows:
+        form = _difference_form(r.coeffs)
+        if form is not None:
+            a, b, t = form
+            dist[a, b] = min(dist[a, b], r.rhs / t)
+    for m in nodes:
+        for a in nodes:
+            for b in nodes:
+                if dist[a, m] + dist[m, b] < dist[a, b]:
+                    dist[a, b] = dist[a, m] + dist[m, b]
+    if any(dist[v, v] < -EMPTY_TOL for v in nodes):
+        return None
+    return dist
+
+
+CLOSURE_BOXES = {0: (0.0, 10.0), 1: (-2.5, 4.0), 2: (0.0, 3.3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(
+                [{0: 1.0, 1: -1.0}, {1: 2.0, 0: -2.0}, {1: 1.0, 2: -1.0}, {2: 0.5, 0: -0.5},
+                 {0: 1.0}, {1: -1.0}, {2: 3.0}, {0: 1.0, 2: 1.0}]
+            ),
+            st.integers(-40, 40).map(lambda k: k / 10),
+        ),
+        max_size=8,
+    )
+)
+# x0 - x1 <= 0.3 and x1 - x0 <= -(0.1 + 0.2): a cycle of weight -5.6e-17,
+# too small to make the disjunct empty.
+@example([({0: 1.0, 1: -1.0}, 0.3), ({1: 1.0, 0: -1.0}, -(0.1 + 0.2)), ({1: 1.0, 2: -1.0}, 0.7)])
+def test_difference_closure_matches_plain_floyd_warshall(rows):
+    rows = [LinRow(dict(c), b) for c, b in rows]
+    assert _difference_closure(rows, [0, 1, 2], CLOSURE_BOXES) == plain_closure(
+        rows, [0, 1, 2], CLOSURE_BOXES
+    )
 
 
 def lp_support(disjunct, coeffs, dvars, boxes):
