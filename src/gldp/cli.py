@@ -132,7 +132,12 @@ def cmd_export_mps(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.gen:
-        instances = _gen_suite(args.gen, _parse_sizes(args.sizes), args.seeds)
+        sizes = _parse_sizes(args.sizes)
+        if not sizes:
+            raise ValueError(f"--sizes {args.sizes!r} gives no size")
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+        instances = _gen_suite(args.gen, sizes, args.seeds)
     elif args.instances:
         instances = [(Path(p).stem, load_instance(p)) for p in args.instances]
     else:

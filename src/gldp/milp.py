@@ -206,14 +206,15 @@ def linprog(
     status = engine.statuses.get(model_status)
     if status is None:
         raise RuntimeError(f"HiGHS LP solve ended with status {h.modelStatusToString(model_status)!r}")
-    info = h.getInfo()
+    # Two single reads cost about 1 us; the whole getInfo() about 12 us.
+    nit = h.getInfoValue("simplex_iteration_count")[1]
     if status != "optimal":
-        return LpResult(status, None, None, info.simplex_iteration_count)
+        return LpResult(status, None, None, nit)
     return LpResult(
         "optimal",
-        float(info.objective_function_value),
+        float(h.getObjectiveValue()),
         np.array(h.getSolution().col_value, dtype=float),
-        info.simplex_iteration_count,
+        nit,
     )
 
 

@@ -142,7 +142,18 @@ def _row_sort_key(row: LinRow) -> tuple:
 
 
 def _as_le_rows(row: LinRow) -> List[LinRow]:
-    """Rewrite a row as one or two ``<=`` rows with zero coefficients dropped."""
+    """Rewrite a row as one or two ``<=`` rows with zero coefficients dropped.
+
+    A row that is already canonical (``<=``, float coefficients, none zero,
+    a float right-hand side, no provenance) is returned as it is.
+    """
+    if (
+        row.sense == LE
+        and type(row.rhs) is float
+        and not row.provenance
+        and all(type(a) is float and a != 0.0 for a in row.coeffs.values())
+    ):
+        return [row]
     coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
     lo, hi = row_range(row.sense, float(row.rhs))
     rows: List[LinRow] = []

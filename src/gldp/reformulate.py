@@ -23,6 +23,12 @@ global rows, logic rows and objective, then, per disjunction, canonicalize
 the disjuncts once, let the pass write its rows and add the exclusive-or row
 over the indicators.
 
+No pass writes a disjunct row that the variable boxes already imply, that is
+a row ``a^T x <= rhs`` with ``rhs >= interval_max(a)``: such a row cuts
+nothing from any pass's LP relaxation (see each pass).  Aligned disjuncts
+carry many of them.  Rows implied only by other rows of the disjunct are
+still written.
+
 ``align_disjunction`` upgrades a disjunction to the shared-coefficient form:
 every disjunct gets every row of the disjunction plus ``±x_v`` for each of
 its variables, with right-hand sides equal to the rows' maxima over the
@@ -79,8 +85,8 @@ def interval_max(coeffs: Mapping[int, float], boxes: Boxes) -> float:
 def big_m_bound(row: LinRow, boxes: Boxes) -> float:
     """Maximum violation of a ``<=`` row over the variable boxes.
 
-    Returns ``max_x (a^T x - rhs)``, which may be negative when the row can
-    never be violated inside the box; the big-M pass clamps at zero.
+    Returns ``max_x (a^T x - rhs)``, which is at most zero when the row can
+    never be violated inside the box; the big-M pass writes no such row.
     """
     if row.sense != LE:
         raise ValueError("big_m_bound expects a canonical <= row")
@@ -164,12 +170,18 @@ def _difference_closure(
     return {(a, b): d[i][j] for i, a in enumerate(nodes) for j, b in enumerate(nodes)}
 
 
-def _align(disjunction: Disjunction, boxes: Boxes) -> Tuple[Disjunction, List[int]]:
-    """``align_disjunction`` plus the indicators of the empty disjuncts."""
-    canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
+def _align(canon: Sequence[Disjunct], label: str, boxes: Boxes) -> Tuple[Disjunction, List[int]]:
+    """``align_disjunction`` of canonical disjuncts, plus the indicators of
+    the empty ones."""
     dvars = sorted({v for d in canon for r in d.rows for v in r.coeffs})
     keys = {_coeff_key(r) for d in canon for r in d.rows}
     keys.update(((v, s),) for v in dvars for s in (1.0, -1.0))
+    # Per shared row, once per disjunction: its key, coefficients (one dict
+    # for every disjunct), difference form and interval maximum.
+    shared = []
+    for k in sorted(keys):
+        coeffs = dict(k)
+        shared.append((k, coeffs, _difference_form(coeffs), interval_max(coeffs, boxes)))
     aligned: List[Disjunct] = []
     empty: List[int] = []
     for d in canon:
@@ -181,18 +193,14 @@ def _align(disjunction: Disjunction, boxes: Boxes) -> Tuple[Disjunction, List[in
         if closure is None:
             empty.append(d.indicator)
         rows = []
-        for k in sorted(keys):
-            coeffs = dict(k)
-            form = _difference_form(coeffs)
-            if closure is None or form is None:
-                bound = interval_max(coeffs, boxes)
-            else:
+        for k, coeffs, form, bound in shared:
+            if closure is not None and form is not None:
                 a, b, t = form
                 bound = t * closure[a, b]
             # "+ 0.0" turns a -0.0 bound into 0.0
             rows.append(LinRow(coeffs, min(own.get(k, math.inf), bound) + 0.0, LE))
         aligned.append(Disjunct(d.indicator, rows))
-    return Disjunction(aligned, disjunction.label), empty
+    return Disjunction(aligned, label), empty
 
 
 def align_disjunction(disjunction: Disjunction, boxes: Boxes) -> Disjunction:
@@ -220,7 +228,8 @@ def align_disjunction(disjunction: Disjunction, boxes: Boxes) -> Disjunction:
     before, the result satisfies ``shared_lhs``, and the operation is
     idempotent.
     """
-    return _align(disjunction, boxes)[0]
+    canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
+    return _align(canon, disjunction.label, boxes)[0]
 
 
 def align_model(model: GdpModel) -> GdpModel:
@@ -235,8 +244,9 @@ def align_model(model: GdpModel) -> GdpModel:
     disjunctions: List[Disjunction] = []
     logic = list(model.logic)
     for disj in model.disjunctions:
-        if not shared_lhs(disj):
-            disj, empty = _align(disj, boxes)
+        canon = [canonicalize_rows(d) for d in disj.disjuncts]
+        if not _same_lhs([d.rows for d in canon]):
+            disj, empty = _align(canon, disj.label, boxes)
             logic.extend(LinRow({y: 1}, 0, LE) for y in empty)
         disjunctions.append(disj)
     return replace(model, disjunctions=disjunctions, logic=logic)
@@ -272,16 +282,19 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     """Big-M reformulation.
 
     Each disjunct row ``a^T x <= rhs`` becomes ``a^T x - rhs <= M (1 - y)``
-    with ``M`` the row's maximum violation over the box, clamped at zero, plus
-    one assignment equality per disjunction.  No continuous variables are
-    added.
+    with ``M = big_m_bound(row)`` the row's maximum violation over the box,
+    plus one assignment equality per disjunction.  A row with ``M <= 0``
+    holds everywhere in the box and is not written.  No continuous
+    variables are added.
     """
     boxes = model.boxes()
 
     def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         for j, (rows, y) in enumerate(zip(canon, ys)):
             for ri, row in enumerate(rows):
-                m = max(0.0, big_m_bound(row, boxes))
+                m = big_m_bound(row, boxes)
+                if m <= 0.0:
+                    continue
                 coeffs = dict(row.coeffs)
                 coeffs[y] = m
                 b.add_row(coeffs, LE, row.rhs + m, f"bigm:{tag}:j{j}:r{ri}")
@@ -294,8 +307,13 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
 
     Only variables that actually appear in a disjunction's rows are
     disaggregated for that disjunction; variables with zero coefficients
-    would contribute vacuous copies.
+    would contribute vacuous copies.  Each copy ``x^j`` is linked to its
+    indicator by ``lower * y <= x^j <= upper * y``, so a disjunct row with
+    ``rhs >= interval_max(a)`` is implied in its homogenized form
+    ``a^T x^j <= rhs * y`` and is not written; its variables are still
+    disaggregated.
     """
+    boxes = model.boxes()
 
     def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
@@ -306,6 +324,8 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
                 lo, hi = min(var.lower, 0.0), max(var.upper, 0.0)
                 copies[j, v] = b.add_cont(f"{var.name}__{tag}_j{j}", lo, hi)
             for ri, row in enumerate(rows):
+                if row.rhs >= interval_max(row.coeffs, boxes):
+                    continue
                 coeffs = {copies[j, v]: a for v, a in row.coeffs.items()}
                 coeffs[y] = -row.rhs
                 b.add_row(coeffs, LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
@@ -326,11 +346,14 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     """Reaggregated hull reformulation for shared-coefficient disjunctions.
 
     Emits one row per shared coefficient vector, ``a^T x <= sum_j rhs_j y_j``,
-    plus the assignment equality.  The MILP has exactly as many continuous
-    variables as the input model.  Disjunctions failing ``shared_lhs`` raise
-    :class:`SharedLhsViolation`; call ``reformulate_rhr(align_model(model))``
-    to reach the shared form first.  The aligned concepts GP_S, S0 and S1
-    are built that way, so their models pass here as built.
+    plus the assignment equality.  A shared row with ``rhs_j >=
+    interval_max(a)`` in every disjunct is implied by the box and the
+    assignment equality and is not written.  The MILP has exactly as many
+    continuous variables as the input model.  Disjunctions failing
+    ``shared_lhs`` raise :class:`SharedLhsViolation`; call
+    ``reformulate_rhr(align_model(model))`` to reach the shared form first.
+    The aligned concepts GP_S, S0 and S1 are built that way, so their models
+    pass here as built.
 
     The LP relaxation equals the hull pass's when, in every disjunction, the
     right-hand sides are the support values of the box-clipped disjuncts,
@@ -341,6 +364,7 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     meet these conditions; otherwise the relaxation may be weaker than the
     hull's.
     """
+    boxes = model.boxes()
 
     def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         if not _same_lhs(canon):
@@ -348,6 +372,9 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
                 f"disjunction {tag} does not share a left-hand side; align it first"
             )
         for ri, row in enumerate(canon[0]):
+            top = interval_max(row.coeffs, boxes)
+            if all(rows[ri].rhs >= top for rows in canon):
+                continue
             coeffs = dict(row.coeffs)
             for rows, y in zip(canon, ys):
                 coeffs[y] = -rows[ri].rhs

@@ -131,3 +131,22 @@ def test_bench_rejects_unknown_names(tmp_path, capsys, flag, name, message):
     assert main(argv) == 1
     assert f"error: {message}; expected one of" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--sizes", "5:3", "--sizes '5:3' gives no size"),
+     ("--sizes", ",", "--sizes ',' gives no size"),
+     ("--seeds", "0", "--seeds must be at least 1, got 0"),
+     ("--seeds", "-2", "--seeds must be at least 1, got -2")],
+)
+def test_bench_rejects_an_empty_sweep(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "r.csv"
+    argv = ["bench", "--gen", "scheduling", "--sizes", "3", "--seeds", "1",
+            "--concepts", "TS", "--reforms", "BM", "-o", str(out)]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()

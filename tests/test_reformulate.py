@@ -36,7 +36,7 @@ from gldp import (
     validate,
 )
 from gldp.milp import LpEngine
-from gldp.reformulate import EMPTY_TOL, _difference_closure, _difference_form
+from gldp.reformulate import EMPTY_TOL, _difference_closure, _difference_form, _lower
 
 
 def interval_union_model():
@@ -137,9 +137,13 @@ def test_bigm_clamps_never_violated_rows():
         logic=[],
     )
     milp = reformulate_bigm(m)
-    slack = next(r for r in milp.rows if r.provenance == "bigm:d0:j0:r0")
-    # M clamped to 0: the indicator drops out entirely
-    assert slack.coeffs == {0: 1.0} and slack.rhs == 5.0
+    # M <= 0: the row holds everywhere in the box and is not written
+    assert [r.provenance for r in milp.rows] == ["bigm:d0:j1:r0", "bigm:d0:xor"]
+    # writing it, as x <= 5 with M clamped to 0, leaves the LP optimum as it is
+    clamped = replace(milp, rows=milp.rows + [LinRow({0: 1.0}, 5.0, LE, "bigm:d0:j0:r0")])
+    for objective in ({0: 1.0}, {0: -1.0}, {0: 1.0, 2: -3.0}):
+        z = solve_lp(replace(milp, objective=objective)).objective
+        assert z == solve_lp(replace(clamped, objective=objective)).objective
 
 
 def test_empty_disjunction_pass_is_identity_lp():
@@ -480,3 +484,162 @@ def test_rhr_can_be_weaker_than_hull_when_a_factor_has_three_variables():
     assert solve_lp(reformulate_hull(m)).objective == pytest.approx(-3.0, abs=1e-9)
     z_rhr = solve_lp(reformulate_rhr(align_model(m))).objective
     assert z_rhr == pytest.approx(-3.5, abs=1e-9)
+
+
+def disjunct_rows_in_x(milp):
+    """Each disjunct row a pass wrote, read back in the model's variables:
+    ``(provenance, a, [rhs_j, ...])`` with one ``rhs_j`` per disjunct (RHR)
+    or one in all (BM, HR).  Hull copies map to their variables through the
+    ``agg`` rows, and a missing indicator coefficient is a zero rhs."""
+    binary = {i for i, v in enumerate(milp.variables) if v.is_binary}
+    original = {}
+    xors = {}
+    for r in milp.rows:
+        head, _, tail = r.provenance.rpartition(":")
+        if tail.startswith("agg["):
+            v = int(tail[4:-1])
+            original.update((c, v) for c, a in r.coeffs.items() if c != v)
+        elif tail == "xor":
+            xors[head] = list(r.coeffs)
+    out = []
+    for r in milp.rows:
+        head, _, tail = r.provenance.rpartition(":")
+        if not tail.startswith("r"):
+            continue
+        x = {original.get(c, c): a for c, a in r.coeffs.items() if c not in binary}
+        if r.provenance.startswith("bigm:"):
+            (y,) = binary.intersection(r.coeffs)
+            rhs = [r.rhs - r.coeffs[y]]
+        elif r.provenance.startswith("hull:"):
+            (y,) = binary.intersection(r.coeffs) or {None}
+            rhs = [-r.coeffs.get(y, 0.0)]
+        else:
+            rhs = [-r.coeffs.get(y, 0.0) for y in xors[head]]
+        out.append((r.provenance, x, rhs))
+    return out
+
+
+PASSES = {"BM": reformulate_bigm, "HR": reformulate_hull, "RHR": reformulate_rhr}
+IMPLIED_CASES = [
+    (gen, n, seed, concept, reform)
+    for gen, n, concepts in (
+        (gen_scheduling, 4, ("GP", "GP_S", "IP", "TS")),
+        (gen_strip, 3, ("S_original", "S0", "S1")),
+    )
+    for seed in (0, 1)
+    for concept in concepts
+    for reform in ("BM", "HR", "RHR")
+    if reform != "RHR" or concept in ("GP_S", "TS", "S0", "S1")
+]
+
+
+@pytest.mark.parametrize(
+    "gen,n,seed,concept,reform",
+    IMPLIED_CASES,
+    ids=[f"{c}-{r}-n{n}-s{s}" for _, n, s, c, r in IMPLIED_CASES],
+)
+def test_no_written_disjunct_row_is_implied_by_the_boxes(gen, n, seed, concept, reform):
+    model = build_model(gen(n, seed), concept)
+    boxes = model.boxes()
+    written = disjunct_rows_in_x(PASSES[reform](model))
+    assert written
+    for provenance, a, rhs in written:
+        assert min(rhs) < corner_max(a, boxes), provenance
+    if reform != "RHR":
+        kept = sum(
+            1
+            for disj in model.disjunctions
+            for d in disj.disjuncts
+            for r in canonicalize_rows(d).rows
+            if r.rhs < corner_max(r.coeffs, boxes)
+        )
+        assert len(written) == kept
+
+
+def reference_lowering(model, reform):
+    """BM, HR or RHR as the passes write them, but writing every disjunct
+    row, the ones the boxes imply too."""
+    boxes = model.boxes()
+
+    def bigm(b, tag, canon, ys):
+        for rows, y in zip(canon, ys):
+            for row in rows:
+                m = max(0.0, big_m_bound(row, boxes))
+                b.add_row({**row.coeffs, y: m}, LE, row.rhs + m, f"bigm:{tag}")
+
+    def hull(b, tag, canon, ys):
+        dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
+        agg = {v: {v: 1.0} for v in dvars}
+        for j, (rows, y) in enumerate(zip(canon, ys)):
+            copy = {}
+            for v in dvars:
+                lo, hi = boxes[v]
+                copy[v] = b.add_cont(f"x{v}_{tag}_{j}", min(lo, 0.0), max(hi, 0.0))
+                agg[v][copy[v]] = -1.0
+                b.add_row({copy[v]: 1.0, y: -hi}, LE, 0.0, f"hull:{tag}")
+                b.add_row({copy[v]: -1.0, y: lo}, LE, 0.0, f"hull:{tag}")
+            for row in rows:
+                coeffs = {copy[v]: a for v, a in row.coeffs.items()}
+                b.add_row({**coeffs, y: -row.rhs}, LE, 0.0, f"hull:{tag}")
+        for coeffs in agg.values():
+            b.add_row(coeffs, EQ, 0.0, f"hull:{tag}")
+
+    def rhr(b, tag, canon, ys):
+        for ri, row in enumerate(canon[0]):
+            coeffs = dict(row.coeffs)
+            coeffs.update((y, -rows[ri].rhs) for rows, y in zip(canon, ys))
+            b.add_row(coeffs, LE, 0.0, f"rhr:{tag}")
+
+    return _lower(model, "ref", {"BM": bigm, "HR": hull, "RHR": rhr}[reform])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [{0: 1.0, 1: -1.0}, {1: 1.0, 2: -1.0}, {2: 2.0, 0: -2.0}, {0: 1.0},
+                     {1: -1.0}, {2: 1.0}, {0: -0.5}]
+                ),
+                st.integers(-8, 8).map(lambda k: k / 2),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=2,
+        max_size=3,
+    ),
+    st.lists(
+        st.tuples(*[st.integers(-3, 3).map(float)] * 3).map(lambda c: dict(enumerate(c))),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_passes_match_a_lowering_that_writes_every_row(disjuncts, objectives):
+    m = GdpModel(
+        vars=[ContinuousVar("u", 0.0, 5.0), ContinuousVar("v", -2.0, 4.0),
+              ContinuousVar("w", 0.0, 3.0)],
+        bools=[f"y{j}" for j in range(len(disjuncts))],
+        objective={},
+        global_rows=[],
+        disjunctions=[
+            Disjunction(
+                [
+                    Disjunct(j, [LinRow(dict(c), b) for c, b in rows])
+                    for j, rows in enumerate(disjuncts)
+                ]
+            )
+        ],
+        logic=[],
+    )
+    aligned = align_model(m)
+    for model, name in [(m, "BM"), (m, "HR"), (aligned, "BM"), (aligned, "HR"), (aligned, "RHR")]:
+        milp, full = PASSES[name](model), reference_lowering(model, name)
+        assert len(milp.rows) <= len(full.rows)
+        for objective in objectives:
+            got = solve_lp(replace(milp, objective=objective))
+            want = solve_lp(replace(full, objective=objective))
+            assert got.status == want.status
+            if want.status == "optimal":
+                assert got.objective == pytest.approx(want.objective, abs=1e-9)
