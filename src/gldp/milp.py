@@ -3,9 +3,13 @@
 One :class:`LpEngine` holds the LP relaxation of a MILP (binaries relaxed to
 [0, 1]) as a persistent HiGHS model, built once.  Every later solve only
 changes column bounds and re-runs HiGHS dual simplex, which returns an
-optimal basic solution.  HiGHS presolves only a cold solve, one without a
-basis in the model: a one-off root LP (``solve_lp``) is presolved, a warm
-re-solve is not.  ``solve_bb`` runs a best-bound branch-and-bound on one
+optimal basic solution.  No LP is presolved, cold or warm: on these models
+HiGHS's presolve costs more than the simplex solve it prepares.  The dual
+simplex prices with devex.  When HiGHS ends a solve with a status other than
+optimal, infeasible, unbounded or time limit (such as ``Unknown``, seen on
+warm devex solves), the solver state is cleared and the same bounds are
+solved once more cold, by the same deadline; only a second such status
+raises.  ``solve_bb`` runs a best-bound branch-and-bound on one
 engine; each open node keeps the basis of its own LP, and both of its
 children start from it.  Branching fixes the most fractional binary, and the
 search ends on a relative optimality gap, matching how the case-study runs
@@ -49,6 +53,12 @@ LP_OPTIONS = {
     "output_flag": False,
     "solver": "simplex",
     "simplex_strategy": 1,  # serial dual simplex
+    # Presolve costs more than the simplex solve on these models, and only a
+    # cold solve (each engine's first) would run it.
+    "presolve": "off",
+    # Devex dual pricing: cheaper per iteration than the default dual steepest
+    # edge, and it halves B&B time on the largest hull models.
+    "simplex_dual_edge_weight_strategy": 1,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
@@ -192,7 +202,9 @@ def linprog(
     wrap ``gldp.milp.linprog`` and see every LP; :meth:`LpEngine.solve`
     looks it up as a global on each call.  It is gldp's own function, not
     ``scipy.optimize.linprog``.  A HiGHS status other than optimal,
-    infeasible, unbounded or time limit raises ``RuntimeError``.
+    infeasible, unbounded or time limit is retried once cold, with the
+    solver state cleared, in what is left of ``time_limit``; a second one
+    raises ``RuntimeError``.
     """
     h = engine.highs
     h.changeColsBounds(engine.n, engine.columns, lower, upper)
@@ -202,12 +214,22 @@ def linprog(
     # every run of the model, so the limit is set from that clock.
     h.setOptionValue("time_limit", h.getRunTime() + time_limit)
     h.run()
-    model_status = h.getModelStatus()
-    status = engine.statuses.get(model_status)
-    if status is None:
-        raise RuntimeError(f"HiGHS LP solve ended with status {h.modelStatusToString(model_status)!r}")
     # Two single reads cost about 1 us; the whole getInfo() about 12 us.
     nit = h.getInfoValue("simplex_iteration_count")[1]
+    status = engine.statuses.get(h.getModelStatus())
+    if status is None:
+        # Clearing the solver keeps the model, its bounds and the run clock,
+        # so the retry starts cold and stops at the same time limit.
+        h.clearSolver()
+        h.run()
+        nit += h.getInfoValue("simplex_iteration_count")[1]
+        model_status = h.getModelStatus()
+        status = engine.statuses.get(model_status)
+        if status is None:
+            raise RuntimeError(
+                f"HiGHS LP solve ended with status {h.modelStatusToString(model_status)!r},"
+                " also when retried cold"
+            )
     if status != "optimal":
         return LpResult(status, None, None, nit)
     return LpResult(

@@ -337,11 +337,10 @@ class MilpModel:
         self.variables.append(MilpVar(name, 0.0, 1.0, True))
         return len(self.variables) - 1
 
-    def add_row(
-        self, coeffs: Mapping[int, float], sense: str, rhs: float, provenance: str
-    ) -> None:
-        clean = {v: float(a) for v, a in coeffs.items() if a != 0.0}
-        self.rows.append(LinRow(clean, float(rhs), sense, provenance))
+    def add_row(self, coeffs: Dict[int, float], sense: str, rhs: float, provenance: str) -> None:
+        """Append a row.  ``coeffs`` is stored as given, not copied: it must
+        hold float, nonzero coefficients and ``rhs`` must be a float."""
+        self.rows.append(LinRow(coeffs, rhs, sense, provenance))
 
     @property
     def binary_indices(self) -> List[int]:

@@ -93,6 +93,26 @@ def big_m_bound(row: LinRow, boxes: Boxes) -> float:
     return interval_max(row.coeffs, boxes) - row.rhs
 
 
+def _interval_maxima(canon: Sequence[Sequence[LinRow]], boxes: Boxes) -> Dict[int, float]:
+    """``interval_max`` of each coefficient dict of a disjunction's rows,
+    keyed by the dict's ``id``: aligned disjuncts share one dict per row, so
+    each is computed once per disjunction, not once per disjunct."""
+    tops: Dict[int, float] = {}
+    for rows in canon:
+        for r in rows:
+            if id(r.coeffs) not in tops:
+                tops[id(r.coeffs)] = interval_max(r.coeffs, boxes)
+    return tops
+
+
+def _with_nonzero(coeffs: Dict[int, float], col: int, a: float) -> Dict[int, float]:
+    """``coeffs`` with the coefficient ``a`` on ``col`` unless ``a`` is
+    zero: no pass writes a zero coefficient."""
+    if a != 0.0:
+        coeffs[col] = a
+    return coeffs
+
+
 def _coeff_key(row: LinRow) -> tuple:
     return tuple(sorted(row.coeffs.items()))
 
@@ -255,7 +275,9 @@ def align_model(model: GdpModel) -> GdpModel:
 def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpModel:
     """The loop every pass shares (see the module docstring).  For each
     disjunction, ``emit(b, tag, canon, ys)`` gets the MILP being built, the
-    disjunction's tag, each disjunct's canonical rows and indicator column."""
+    disjunction's tag, each disjunct's canonical rows and indicator column.
+    Global and logic rows are written with float, nonzero coefficients, as
+    the passes write theirs."""
     # a global looked up on each call, so a wrapper of gldp.reformulate.validate sees it
     diags = validate(model)
     if diags:
@@ -265,9 +287,11 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpMo
         b.add_cont(v.name, v.lower, v.upper)
     ymap = [b.add_bin(nm) for nm in model.bools]
     for gi, row in enumerate(model.global_rows):
-        b.add_row(row.coeffs, row.sense, row.rhs, f"global[{gi}]")
+        coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
+        b.add_row(coeffs, row.sense, float(row.rhs), f"global[{gi}]")
     for li, row in enumerate(model.logic):
-        b.add_row({ymap[v]: a for v, a in row.coeffs.items()}, row.sense, row.rhs, f"logic[{li}]")
+        coeffs = {ymap[v]: float(a) for v, a in row.coeffs.items() if a != 0.0}
+        b.add_row(coeffs, row.sense, float(row.rhs), f"logic[{li}]")
     b.objective = {v: float(a) for v, a in model.objective.items()}
     for k, disj in enumerate(model.disjunctions):
         tag = f"d{k}" + (f"({disj.label})" if disj.label else "")
@@ -290,9 +314,10 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     boxes = model.boxes()
 
     def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+        tops = _interval_maxima(canon, boxes)
         for j, (rows, y) in enumerate(zip(canon, ys)):
             for ri, row in enumerate(rows):
-                m = big_m_bound(row, boxes)
+                m = tops[id(row.coeffs)] - row.rhs  # big_m_bound(row, boxes)
                 if m <= 0.0:
                     continue
                 coeffs = dict(row.coeffs)
@@ -317,22 +342,24 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
 
     def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
         dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
+        tops = _interval_maxima(canon, boxes)
         copies: Dict[Tuple[int, int], int] = {}
         for j, (rows, y) in enumerate(zip(canon, ys)):
             for v in dvars:
-                var = model.vars[v]
+                var = b.variables[v]  # model.vars[v], with float bounds
                 lo, hi = min(var.lower, 0.0), max(var.upper, 0.0)
                 copies[j, v] = b.add_cont(f"{var.name}__{tag}_j{j}", lo, hi)
             for ri, row in enumerate(rows):
-                if row.rhs >= interval_max(row.coeffs, boxes):
+                if row.rhs >= tops[id(row.coeffs)]:
                     continue
                 coeffs = {copies[j, v]: a for v, a in row.coeffs.items()}
-                coeffs[y] = -row.rhs
-                b.add_row(coeffs, LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
+                b.add_row(_with_nonzero(coeffs, y, -row.rhs), LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
             for v in dvars:
-                var, xh = model.vars[v], copies[j, v]
-                b.add_row({xh: 1.0, y: -var.upper}, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
-                b.add_row({xh: -1.0, y: var.lower}, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
+                var, xh = b.variables[v], copies[j, v]
+                up = _with_nonzero({xh: 1.0}, y, -var.upper)
+                b.add_row(up, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
+                low = _with_nonzero({xh: -1.0}, y, var.lower)
+                b.add_row(low, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
         for v in dvars:
             coeffs = {v: 1.0}
             for j in range(len(canon)):
@@ -377,7 +404,7 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
                 continue
             coeffs = dict(row.coeffs)
             for rows, y in zip(canon, ys):
-                coeffs[y] = -rows[ri].rhs
+                _with_nonzero(coeffs, y, -rows[ri].rhs)
             b.add_row(coeffs, LE, 0.0, f"rhr:{tag}:r{ri}")
 
     return _lower(model, "rhr", emit)

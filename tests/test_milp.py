@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+from scipy.optimize._highspy._core import HighsModelStatus
 from hypothesis import given, settings, strategies as st
 
 from gldp import (
@@ -248,6 +249,60 @@ def test_engine_time_limit_is_per_solve():
     assert engine.solve(lower, upper, basis, time_limit=0.3).status == "optimal"
 
 
+class FailingHighs:
+    """A HiGHS object that reports ``Unknown`` on its first ``fails`` model
+    status reads and otherwise passes every call to the real one."""
+
+    def __init__(self, real, fails):
+        self.real, self.fails, self.runs, self.clears = real, fails, 0, 0
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def run(self):
+        self.runs += 1
+        return self.real.run()
+
+    def clearSolver(self):
+        self.clears += 1
+        return self.real.clearSolver()
+
+    def getModelStatus(self):
+        if self.fails:
+            self.fails -= 1
+            return HighsModelStatus.kUnknown
+        return self.real.getModelStatus()
+
+
+def warm_child(fails):
+    """A warm solve of a child LP of IP x HR n=4 through a FailingHighs, and
+    the same LP solved cold on a fresh engine."""
+    milp = reformulate_hull(build_ip(gen_scheduling(4, 0)))
+    engine = LpEngine(milp)
+    assert engine.solve().status == "optimal"
+    lower, upper = engine.lower.copy(), engine.upper.copy()
+    lower[milp.binary_indices[5]] = upper[milp.binary_indices[5]] = 1.0
+    cold = LpEngine(milp).solve(lower, upper)
+    engine.highs = FailingHighs(engine.highs, fails)
+    return engine, lambda: engine.solve(lower, upper, engine.basis()), cold
+
+
+def test_an_unfinished_solve_is_retried_cold():
+    engine, solve, cold = warm_child(fails=1)
+    got = solve()
+    assert (engine.highs.runs, engine.highs.clears) == (2, 1)
+    assert cold.status == got.status == "optimal"
+    assert got.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert got.nit > 0
+
+
+def test_an_unfinished_retry_raises_naming_the_status():
+    engine, solve, _ = warm_child(fails=2)
+    with pytest.raises(RuntimeError, match="status 'Unknown'"):
+        solve()
+    assert (engine.highs.runs, engine.highs.clears) == (2, 1)
+
+
 # ---- the LP engine against SciPy's public solvers -----------------------
 
 def scipy_arrays(model):
@@ -336,6 +391,25 @@ def test_engine_matches_public_linprog_over_bound_changes(case, from_first_basis
                           model.rows, model.objective),
                 got.x,
             ) <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "instance, concept, reform",
+    [(gen_scheduling(12, 0), "GP", "HR"), (gen_scheduling(6, 0), "IP", "HR"),
+     (gen_scheduling(10, 0), "TS", "HR"), (gen_strip(6, 0), "S1", "HR"),
+     (gen_strip(6, 0), "S0", "BM")],
+    ids=["GP-HR-n12", "IP-HR-n6", "TS-HR-n10", "S1-HR-n6", "S0-BM-n6"],
+)
+def test_unpresolved_roots_of_larger_models_match_public_linprog(instance, concept, reform):
+    """The engine solves without presolve; SciPy's linprog presolves."""
+    milp = reformulate_model(build_model(instance, concept), reform)
+    engine = LpEngine(milp)
+    assert engine.highs.getOptionValue("presolve")[1] == "off"
+    got = engine.solve()
+    assert got.status == "optimal"
+    assert public_linprog(milp, engine.lower, engine.upper) == (
+        "optimal", pytest.approx(got.objective, abs=1e-7)
+    )
 
 
 SCHED_PAIRS = [("GP", "BM"), ("GP", "HR"), ("GP_S", "BM"), ("GP_S", "HR"), ("GP_S", "RHR"),

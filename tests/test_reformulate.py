@@ -556,6 +556,20 @@ def test_no_written_disjunct_row_is_implied_by_the_boxes(gen, n, seed, concept, 
         assert len(written) == kept
 
 
+@pytest.mark.parametrize(
+    "gen,n,seed,concept,reform",
+    IMPLIED_CASES,
+    ids=[f"{c}-{r}-n{n}-s{s}" for _, n, s, c, r in IMPLIED_CASES],
+)
+def test_passes_write_float_nonzero_coefficients(gen, n, seed, concept, reform):
+    """MilpModel.add_row stores what it is given, so every pass, and the
+    global and logic rows, must hand it float, nonzero coefficients."""
+    milp = PASSES[reform](build_model(gen(n, seed), concept))
+    for r in milp.rows:
+        assert type(r.rhs) is float, r.provenance
+        assert all(type(a) is float and a != 0.0 for a in r.coeffs.values()), r.provenance
+
+
 def reference_lowering(model, reform):
     """BM, HR or RHR as the passes write them, but writing every disjunct
     row, the ones the boxes imply too."""
