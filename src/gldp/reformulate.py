@@ -7,9 +7,11 @@ Three passes are provided:
     disjunct's indicator is on.  Compact but with a weak LP relaxation.
 
 ``reformulate_hull``
-    Disaggregates the continuous variables appearing in each disjunction and
-    links the copies to the indicators, so the LP relaxation of each
-    disjunction is the convex hull of its box-clipped disjuncts.
+    Disaggregates the continuous variables of each disjunction and links the
+    copies to the indicators, so the LP relaxation of each disjunction is the
+    convex hull of its box-clipped disjuncts.  A disjunct gets a copy only of
+    the variables its written rows use; the copies it would have of the
+    others are projected out of the aggregation rows.
 
 ``reformulate_rhr``
     For disjunctions whose disjuncts share one coefficient matrix and differ
@@ -330,41 +332,56 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
 def reformulate_hull(model: GdpModel) -> MilpModel:
     """Hull reformulation via variable disaggregation.
 
-    Only variables that actually appear in a disjunction's rows are
-    disaggregated for that disjunction; variables with zero coefficients
-    would contribute vacuous copies.  Each copy ``x^j`` is linked to its
-    indicator by ``lower * y <= x^j <= upper * y``, so a disjunct row with
-    ``rhs >= interval_max(a)`` is implied in its homogenized form
-    ``a^T x^j <= rhs * y`` and is not written; its variables are still
-    disaggregated.
+    Each copy ``x^j`` is linked to its indicator by ``lower * y_j <= x^j <=
+    upper * y_j``, so a disjunct row with ``rhs >= interval_max(a)`` is
+    implied in its homogenized form ``a^T x^j <= rhs * y_j`` and is not
+    written.  Disjunct ``j`` gets a copy of a variable only when one of its
+    written rows uses it.  A variable ``x`` with a copy in every disjunct is
+    their sum, ``x = sum_j x^j``.  Where disjuncts ``R`` have no copy of
+    ``x``, the missing copies would appear only in their box rows and in
+    that sum, so they are projected out (Fourier-Motzkin): ``lower * sum_R
+    y_j <= x - sum_{j not in R} x^j <= upper * sum_R y_j``.  The LP
+    relaxation in the model's variables and indicators is unchanged, and per
+    disjunction it is still the convex hull of the box-clipped disjuncts
+    (Balas 1998).
     """
     boxes = model.boxes()
 
     def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
-        dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
         tops = _interval_maxima(canon, boxes)
-        copies: Dict[Tuple[int, int], int] = {}
+        copies: List[Dict[int, int]] = []  # per disjunct: variable -> its copy
         for j, (rows, y) in enumerate(zip(canon, ys)):
-            for v in dvars:
+            written = [(ri, r) for ri, r in enumerate(rows) if r.rhs < tops[id(r.coeffs)]]
+            own: Dict[int, int] = {}
+            for v in sorted({v for _, r in written for v in r.coeffs}):
                 var = b.variables[v]  # model.vars[v], with float bounds
                 lo, hi = min(var.lower, 0.0), max(var.upper, 0.0)
-                copies[j, v] = b.add_cont(f"{var.name}__{tag}_j{j}", lo, hi)
-            for ri, row in enumerate(rows):
-                if row.rhs >= tops[id(row.coeffs)]:
-                    continue
-                coeffs = {copies[j, v]: a for v, a in row.coeffs.items()}
+                own[v] = b.add_cont(f"{var.name}__{tag}_j{j}", lo, hi)
+            copies.append(own)
+            for ri, row in written:
+                coeffs = {own[v]: a for v, a in row.coeffs.items()}
                 b.add_row(_with_nonzero(coeffs, y, -row.rhs), LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
-            for v in dvars:
-                var, xh = b.variables[v], copies[j, v]
+            for v, xh in own.items():
+                var = b.variables[v]
                 up = _with_nonzero({xh: 1.0}, y, -var.upper)
                 b.add_row(up, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
                 low = _with_nonzero({xh: -1.0}, y, var.lower)
                 b.add_row(low, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
-        for v in dvars:
-            coeffs = {v: 1.0}
-            for j in range(len(canon)):
-                coeffs[copies[j, v]] = -1.0
-            b.add_row(coeffs, EQ, 0.0, f"hull:{tag}:agg[{v}]")
+        for v in sorted(set().union(*copies)):
+            if all(v in own for own in copies):
+                agg = {v: 1.0, **{own[v]: -1.0 for own in copies}}
+                b.add_row(agg, EQ, 0.0, f"hull:{tag}:agg[{v}]")
+                continue
+            # A disjunct without a copy of v stands for one in [lower * y, upper * y].
+            var, up, low = b.variables[v], {v: 1.0}, {v: -1.0}
+            for own, y in zip(copies, ys):
+                if v in own:
+                    up[own[v]], low[own[v]] = -1.0, 1.0
+                else:
+                    _with_nonzero(up, y, -var.upper)
+                    _with_nonzero(low, y, var.lower)
+            b.add_row(up, LE, 0.0, f"hull:{tag}:aggub[{v}]")
+            b.add_row(low, LE, 0.0, f"hull:{tag}:agglb[{v}]")
 
     return _lower(model, "hull", emit)
 

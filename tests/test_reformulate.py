@@ -2,6 +2,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
@@ -25,6 +26,7 @@ from gldp import (
     build_model,
     build_ts,
     canonicalize_rows,
+    check_assignment,
     gen_scheduling,
     gen_strip,
     reformulate_bigm,
@@ -32,7 +34,9 @@ from gldp import (
     reformulate_rhr,
     sched_oracle,
     shared_lhs,
+    solve_bb,
     solve_lp,
+    strip_oracle,
     validate,
 )
 from gldp.milp import LpEngine
@@ -490,14 +494,15 @@ def disjunct_rows_in_x(milp):
     """Each disjunct row a pass wrote, read back in the model's variables:
     ``(provenance, a, [rhs_j, ...])`` with one ``rhs_j`` per disjunct (RHR)
     or one in all (BM, HR).  Hull copies map to their variables through the
-    ``agg`` rows, and a missing indicator coefficient is a zero rhs."""
+    ``agg``, ``aggub`` and ``agglb`` rows, and a missing indicator
+    coefficient is a zero rhs."""
     binary = {i for i, v in enumerate(milp.variables) if v.is_binary}
     original = {}
     xors = {}
     for r in milp.rows:
         head, _, tail = r.provenance.rpartition(":")
-        if tail.startswith("agg["):
-            v = int(tail[4:-1])
+        if tail.startswith("agg"):
+            v = int(tail[tail.index("[") + 1 : -1])
             original.update((c, v) for c, a in r.coeffs.items() if c != v)
         elif tail == "xor":
             xors[head] = list(r.coeffs)
@@ -657,3 +662,71 @@ def test_passes_match_a_lowering_that_writes_every_row(disjuncts, objectives):
             assert got.status == want.status
             if want.status == "optimal":
                 assert got.objective == pytest.approx(want.objective, abs=1e-9)
+
+
+HULL_CASES = [
+    (gen, n, seed, concept)
+    for gen, concepts, sizes in (
+        (gen_scheduling, ("IP", "GP"), range(3, 7)),
+        (gen_strip, ("S_original", "S_symbreak", "S0", "S1"), range(3, 6)),
+    )
+    for concept in concepts
+    for n in sizes
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "gen,n,seed,concept", HULL_CASES, ids=[f"{c}-n{n}-s{s}" for _, n, s, c in HULL_CASES]
+)
+def test_hull_copies_only_used_variables_and_keeps_the_relaxation(gen, n, seed, concept):
+    """A disjunct gets a copy of exactly the variables of its written rows,
+    and the hull's LP relaxation still equals the one with a copy of every
+    variable of the disjunction in every disjunct."""
+    model = build_model(gen(n, seed), concept)
+    boxes = model.boxes()
+    milp, full = reformulate_hull(model), reference_lowering(model, "HR")
+    used = sum(
+        len({v for r in canonicalize_rows(d).rows if r.rhs < corner_max(r.coeffs, boxes)
+             for v in r.coeffs})
+        for disj in model.disjunctions
+        for d in disj.disjuncts
+    )
+    assert milp.num_continuous == len(model.vars) + used
+    assert len(milp.rows) <= len(full.rows)
+    rng = np.random.default_rng(seed)
+    cols = len(model.vars) + len(model.bools)
+    objectives = [milp.objective] + [
+        dict(enumerate(rng.uniform(-1.0, 1.0, cols).tolist())) for _ in range(10)
+    ]
+    for objective in objectives:
+        got = solve_lp(replace(milp, objective=objective))
+        want = solve_lp(replace(full, objective=objective))
+        assert got.status == want.status == "optimal"
+        assert abs(got.objective - want.objective) <= 1e-7 * max(1.0, abs(want.objective))
+
+
+INCUMBENT_CASES = [(gen_scheduling, n, seed, "IP") for n in (3, 4, 5) for seed in range(3)] + [
+    (gen_strip, n, seed, concept)
+    for concept in ("S_original", "S_symbreak")
+    for n in (3, 4)
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "gen,n,seed,concept",
+    INCUMBENT_CASES,
+    ids=[f"{c}-n{n}-s{s}" for _, n, s, c in INCUMBENT_CASES],
+)
+def test_hull_incumbents_hold_in_the_source_model(gen, n, seed, concept):
+    inst = gen(n, seed)
+    model = build_model(inst, concept)
+    milp = reformulate_hull(model)
+    res = solve_bb(milp)
+    assert res.status == "optimal"
+    x = dict(enumerate(res.x[: len(model.vars)].tolist()))
+    y = {i: bool(res.x[c] > 0.5) for i, c in enumerate(milp.binary_indices)}
+    assert check_assignment(model, x, y) == []
+    oracle = sched_oracle if gen is gen_scheduling else strip_oracle
+    assert res.objective == pytest.approx(oracle(inst).optimum, abs=1e-6)
