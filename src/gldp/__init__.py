@@ -24,7 +24,6 @@ from .model import (
 )
 from .reformulate import (
     SharedLhsViolation,
-    align_disjunction,
     align_model,
     big_m_bound,
     interval_max,

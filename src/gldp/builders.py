@@ -242,7 +242,9 @@ def build_ts(inst: SchedulingInstance) -> GdpModel:
     Slot start variables share the box [min r, max d]; the disjunct for job
     ``i`` at slot ``t`` reserves ``p_i`` until the next slot start (or the
     makespan at the final slot) and pins the slot inside the job's release
-    and due window.  All disjuncts of a slot share one coefficient matrix.
+    and due window.  All disjuncts of a slot share one coefficient matrix,
+    so RHR runs on the model as built, with a relaxation equal to the hull's
+    along the makespan but not as a set (see ``reformulate_rhr``).
     """
     n = inst.n
     rs = [j.r for j in inst.jobs]

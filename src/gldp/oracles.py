@@ -336,11 +336,11 @@ def rhr_relaxation_mask(
     """Grid mask of the reaggregated reformulation's LP-feasible x set.
 
     Builds a one-disjunction model over the same boxes, reaggregates it as
-    ``reformulate_rhr(align_model(model))`` (alignment keeps a disjunction
-    that already shares a left-hand side as it is), compiles its LP once
-    into a :class:`~gldp.milp.LpEngine`, and re-solves that engine with the
-    continuous variables pinned to each grid point in turn; a point is in
-    the mask when its LP is feasible.
+    ``reformulate_rhr(align_model(model))`` (alignment gives support-value
+    right-hand sides to a disjunction that already shares a left-hand side
+    too), compiles its LP once into a :class:`~gldp.milp.LpEngine`, and
+    re-solves that engine with the continuous variables pinned to each grid
+    point in turn; a point is in the mask when its LP is feasible.
     """
     from .model import ContinuousVar, Disjunct, GdpModel
     from .reformulate import align_model, reformulate_rhr

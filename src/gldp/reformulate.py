@@ -31,18 +31,21 @@ nothing from any pass's LP relaxation (see each pass).  Aligned disjuncts
 carry many of them.  Rows implied only by other rows of the disjunct are
 still written.
 
-``align_disjunction`` upgrades a disjunction to the shared-coefficient form:
-every disjunct gets every row of the disjunction plus ``±x_v`` for each of
-its variables, with right-hand sides equal to the rows' maxima over the
-disjunct within the box.  ``align_model`` applies it to the unshared
-disjunctions of a model and fixes at 0 the indicator of any disjunct that is
-empty within the box.
+``align_model`` brings every disjunction of a model to the shared-coefficient
+form: every disjunct gets every row of its disjunction plus ``±x_v`` for each
+of its variables, with right-hand sides equal to the rows' maxima over the
+disjunct within the box, and the indicator of any disjunct that is empty
+within the box is fixed at 0.  It is the one way to that form; it aligns a
+disjunction that already shares a left-hand side too, because sharing alone
+does not make the right-hand sides support values.
 
 The reaggregated root equals the hull root when each disjunction is aligned
 from difference rows (``x_a - x_b <= c``, ``±x_a <= c``) whose variables
 split into factors of at most two variables, as in the general-precedence
 and strip-packing models.  With three or more variables in one factor, or
-with rows of other forms, it may be weaker.
+with rows of other forms, it may be weaker.  A left-hand side shared as
+built is not enough: RHR on the time-slot model (``build_ts``) equals the
+hull along the makespan, but not as a set until ``align_model`` aligns it.
 """
 
 from __future__ import annotations
@@ -193,8 +196,8 @@ def _difference_closure(
 
 
 def _align(canon: Sequence[Disjunct], label: str, boxes: Boxes) -> Tuple[Disjunction, List[int]]:
-    """``align_disjunction`` of canonical disjuncts, plus the indicators of
-    the empty ones."""
+    """One disjunction of canonical disjuncts aligned as :func:`align_model`
+    describes, plus the indicators of its empty disjuncts."""
     dvars = sorted({v for d in canon for r in d.rows for v in r.coeffs})
     keys = {_coeff_key(r) for d in canon for r in d.rows}
     keys.update(((v, s),) for v in dvars for s in (1.0, -1.0))
@@ -225,53 +228,54 @@ def _align(canon: Sequence[Disjunct], label: str, boxes: Boxes) -> Tuple[Disjunc
     return Disjunction(aligned, label), empty
 
 
-def align_disjunction(disjunction: Disjunction, boxes: Boxes) -> Disjunction:
-    """Give all disjuncts one shared coefficient matrix with support-value
-    right-hand sides.
+def align_model(model: GdpModel) -> GdpModel:
+    """Give the disjuncts of every disjunction of ``model`` one shared
+    coefficient matrix with support-value right-hand sides.
 
-    The shared matrix holds every coefficient vector found in any disjunct,
-    plus ``+x_v`` and ``-x_v`` for every variable of the disjunction.  Each
-    disjunct ``D_j`` receives every row with right-hand side
-    ``max{a^T x : x in B ∩ D_j}`` (``B`` the box), computed without an LP by
-    a shortest-path closure over ``D_j``'s difference rows
+    A disjunction's shared matrix holds every coefficient vector found in
+    any of its disjuncts, plus ``+x_v`` and ``-x_v`` for every variable of
+    the disjunction.  Each disjunct ``D_j`` receives every row with
+    right-hand side ``max{a^T x : x in B ∩ D_j}`` (``B`` the box), computed
+    without an LP by a shortest-path closure over ``D_j``'s difference rows
     (``x_a - x_b <= c`` and ``±x_a <= c``, up to a positive scale) and the
     box.  The value is exact for difference rows when all of ``D_j``'s rows
     are difference rows.  Rows of any other form get the smaller of the
     disjunct's own right-hand side and the row's interval maximum over the
     box; they are valid but carry no exactness guarantee, and neither do
-    difference rows in a disjunct that also has such rows.
+    difference rows in a disjunct that also has such rows.  A disjunction
+    that already shares a left-hand side is aligned too: its right-hand
+    sides need not be support values.
 
     When the closure finds ``B ∩ D_j`` empty, ``D_j`` keeps its own rows and
-    gets interval maxima for the rest; its indicator must then be fixed at
-    0, which :func:`align_model` does with a logic row.  The hull pass
-    forces that indicator to 0 in the LP relaxation by itself.
+    gets interval maxima for the rest, and a logic row ``y_j <= 0`` fixes
+    its indicator at 0 unless one already does.  (The hull pass forces that
+    indicator to 0 in the LP relaxation by itself.)
 
     Every aligned disjunct has the same feasible set within the box as
-    before, the result satisfies ``shared_lhs``, and the operation is
-    idempotent.
+    before, every disjunction of the result satisfies ``shared_lhs``, and
+    ``align_model(align_model(m)) == align_model(m)``.  An invalid model
+    raises ``ValueError``, as in the passes.  Returns a new model; ``model``
+    is not modified.
     """
-    canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
-    return _align(canon, disjunction.label, boxes)[0]
-
-
-def align_model(model: GdpModel) -> GdpModel:
-    """Apply :func:`align_disjunction` to every disjunction of ``model``
-    that does not share a left-hand side.
-
-    Each disjunct found empty within the box gets a logic row fixing its
-    indicator at 0.  Disjunctions that already share a left-hand side are
-    kept as they are.  Returns a new model; ``model`` is not modified.
-    """
+    _reject_invalid(model)
     boxes = model.boxes()
     disjunctions: List[Disjunction] = []
     logic = list(model.logic)
+    fixed = {y for r in logic for y in r.coeffs if r == LinRow({y: 1}, 0, LE)}
     for disj in model.disjunctions:
         canon = [canonicalize_rows(d) for d in disj.disjuncts]
-        if not _same_lhs([d.rows for d in canon]):
-            disj, empty = _align(canon, disj.label, boxes)
-            logic.extend(LinRow({y: 1}, 0, LE) for y in empty)
+        disj, empty = _align(canon, disj.label, boxes)
+        logic.extend(LinRow({y: 1}, 0, LE) for y in empty if y not in fixed)
         disjunctions.append(disj)
     return replace(model, disjunctions=disjunctions, logic=logic)
+
+
+def _reject_invalid(model: GdpModel) -> None:
+    """Raise ``ValueError`` with every diagnostic of ``validate(model)``."""
+    # a global looked up on each call, so a wrapper of gldp.reformulate.validate sees it
+    diags = validate(model)
+    if diags:
+        raise ValueError("invalid model: " + "; ".join(diags))
 
 
 def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpModel:
@@ -280,10 +284,7 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpMo
     disjunction's tag, each disjunct's canonical rows and indicator column.
     Global and logic rows are written with float, nonzero coefficients, as
     the passes write theirs."""
-    # a global looked up on each call, so a wrapper of gldp.reformulate.validate sees it
-    diags = validate(model)
-    if diags:
-        raise ValueError("invalid model: " + "; ".join(diags))
+    _reject_invalid(model)
     b = MilpModel(name=f"{model.name or 'model'}_{pass_name}")
     for v in model.vars:
         b.add_cont(v.name, v.lower, v.upper)
@@ -335,8 +336,10 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     Each copy ``x^j`` is linked to its indicator by ``lower * y_j <= x^j <=
     upper * y_j``, so a disjunct row with ``rhs >= interval_max(a)`` is
     implied in its homogenized form ``a^T x^j <= rhs * y_j`` and is not
-    written.  Disjunct ``j`` gets a copy of a variable only when one of its
-    written rows uses it.  A variable ``x`` with a copy in every disjunct is
+    written.  A side of that link with a zero bound is not written either:
+    it repeats the copy's column bound ``[min(lower, 0), max(upper, 0)]``.
+    Disjunct ``j`` gets a copy of a variable only when one of its written
+    rows uses it.  A variable ``x`` with a copy in every disjunct is
     their sum, ``x = sum_j x^j``.  Where disjuncts ``R`` have no copy of
     ``x``, the missing copies would appear only in their box rows and in
     that sum, so they are projected out (Fourier-Motzkin): ``lower * sum_R
@@ -363,10 +366,11 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
                 b.add_row(_with_nonzero(coeffs, y, -row.rhs), LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
             for v, xh in own.items():
                 var = b.variables[v]
-                up = _with_nonzero({xh: 1.0}, y, -var.upper)
-                b.add_row(up, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
-                low = _with_nonzero({xh: -1.0}, y, var.lower)
-                b.add_row(low, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
+                # a zero bound is the copy's column bound: no row repeats it
+                if var.upper != 0.0:
+                    b.add_row({xh: 1.0, y: -var.upper}, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
+                if var.lower != 0.0:
+                    b.add_row({xh: -1.0, y: var.lower}, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
         for v in sorted(set().union(*copies)):
             if all(v in own for own in copies):
                 agg = {v: 1.0, **{own[v]: -1.0 for own in copies}}
@@ -406,7 +410,11 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     values both passes then describe the same Minkowski sum).  Aligned
     difference-row disjunctions such as ``build_gp``'s and ``build_strip``'s
     meet these conditions; otherwise the relaxation may be weaker than the
-    hull's.
+    hull's.  ``build_ts``'s disjunctions pass here as built without meeting
+    them (their right-hand sides are not support values): TS's relaxation
+    equals the hull's along the makespan but not as a set, and
+    ``reformulate_rhr(align_model(model))`` closes the gap with about 17%
+    more rows (35 -> 41 at seven jobs).
     """
     boxes = model.boxes()
 

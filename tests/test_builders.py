@@ -8,7 +8,6 @@ from gldp import (
     Rect,
     SchedulingInstance,
     StripInstance,
-    align_disjunction,
     align_model,
     build_gp,
     build_ip,
@@ -40,6 +39,12 @@ def canon_rows(disjunction):
         [(tuple(sorted(r.coeffs.items())), r.rhs) for r in canonicalize_rows(d).rows]
         for d in disjunction.disjuncts
     ]
+
+
+def align_one(model, disjunction):
+    """``disjunction`` as ``align_model`` aligns it within ``model``'s boxes."""
+    (aligned,) = align_model(replace(model, disjunctions=[disjunction])).disjunctions
+    return aligned
 
 
 def test_instance_invariants_rejected():
@@ -93,10 +98,9 @@ def test_gp_strengthened_is_aligned_and_matches_align_pass():
     for seed in range(5):
         inst = gen_scheduling(4, seed)
         gp, gps = build_gp(inst), build_model(inst, "GP_S")
-        boxes = gp.boxes()
         assert all(shared_lhs(d) for d in gps.disjunctions)
         for dk, ds in zip(gp.disjunctions, gps.disjunctions):
-            assert canon_rows(align_disjunction(dk, boxes)) == canon_rows(ds)
+            assert canon_rows(align_one(gp, dk)) == canon_rows(ds)
 
 
 def test_gp_strengthened_two_job_bounds():
@@ -196,9 +200,16 @@ def test_strip_aligned_variants_match_align_pass():
     inst = gen_strip(3, 9)
     for source, target in (("S_original", "S0"), ("S_symbreak", "S1")):
         src, tgt = build_model(inst, source), build_model(inst, target)
-        boxes = src.boxes()
         for dk, ds in zip(src.disjunctions, tgt.disjunctions):
-            assert canon_rows(align_disjunction(dk, boxes)) == canon_rows(ds)
+            assert canon_rows(align_one(src, dk)) == canon_rows(ds)
+
+
+@pytest.mark.parametrize("concept", ["GP", "S_original", "S_symbreak"])
+def test_align_model_is_idempotent_on_the_sources(concept):
+    gen = gen_scheduling if concept == "GP" else gen_strip
+    for seed in range(3):
+        aligned = align_model(build_model(gen(4, seed), concept))
+        assert align_model(aligned) == aligned
 
 
 def test_strip_unknown_variant():

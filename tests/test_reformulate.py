@@ -18,7 +18,6 @@ from gldp import (
     LinRow,
     SchedulingInstance,
     SharedLhsViolation,
-    align_disjunction,
     align_model,
     big_m_bound,
     build_gp,
@@ -202,42 +201,83 @@ def test_shared_lhs_examples():
 
 def test_align_interval_union():
     m = interval_union_model()
-    out = align_disjunction(m.disjunctions[0], m.boxes())
-    got = [[(dict(r.coeffs), r.rhs) for r in d.rows] for d in out.disjuncts]
+    out = align_model(m)
+    (d,) = out.disjunctions
+    got = [[(dict(r.coeffs), r.rhs) for r in dj.rows] for dj in d.disjuncts]
     assert got == [
         [({0: -1.0}, 0.0), ({0: 1.0}, 2.0)],
         [({0: -1.0}, -5.0), ({0: 1.0}, 10.0)],
     ]
-    assert shared_lhs(out)
-    again = align_disjunction(out, m.boxes())
-    assert [d.rows for d in again.disjuncts] == [d.rows for d in out.disjuncts]
+    assert shared_lhs(d) and out.logic == []
+    assert align_model(out) == out
+
+
+def one_variable_model(disjuncts, objective=None):
+    """One disjunction over x in [0, 10], a disjunct per list of (a, rhs)
+    rows ``a x <= rhs``."""
+    return GdpModel(
+        vars=[ContinuousVar("x", 0.0, 10.0)],
+        bools=[f"y{j}" for j in range(len(disjuncts))],
+        objective=objective or {},
+        global_rows=[],
+        disjunctions=[
+            Disjunction(
+                [
+                    Disjunct(j, [LinRow({0: a}, rhs) for a, rhs in rows])
+                    for j, rows in enumerate(disjuncts)
+                ]
+            )
+        ],
+        logic=[],
+    )
 
 
 def test_align_keeps_tighter_rhs():
     # second disjunct's existing bound x <= 1 beats the box bound 10
-    d = Disjunction(
-        [
-            Disjunct(0, [LinRow({0: 1.0}, 2.0), LinRow({0: -1.0}, 0.0)]),
-            Disjunct(1, [LinRow({0: 1.0}, 1.0)]),
-        ]
-    )
-    out = align_disjunction(d, {0: (0.0, 10.0)})
-    rows1 = {tuple(sorted(r.coeffs.items())): r.rhs for r in out.disjuncts[1].rows}
+    m = one_variable_model([[(1.0, 2.0), (-1.0, 0.0)], [(1.0, 1.0)]])
+    (d,) = align_model(m).disjunctions
+    rows1 = {tuple(sorted(r.coeffs.items())): r.rhs for r in d.disjuncts[1].rows}
     assert rows1[((0, 1.0),)] == 1.0
     assert rows1[((0, -1.0),)] == 0.0
 
 
-def test_rhr_interval_union_matches_hull():
+def test_align_gives_a_shared_disjunction_support_values():
+    # both disjuncts carry x <= . and -x <= ., but -x <= 5 and x <= 12 are
+    # looser than the box [0, 10] allows
+    m = one_variable_model([[(1.0, 2.0), (-1.0, 5.0)], [(1.0, 12.0), (-1.0, -5.0)]])
+    assert shared_lhs(m.disjunctions[0])
+    (d,) = align_model(m).disjunctions
+    got = [[(dict(r.coeffs), r.rhs) for r in dj.rows] for dj in d.disjuncts]
+    assert got == [
+        [({0: -1.0}, 0.0), ({0: 1.0}, 2.0)],
+        [({0: -1.0}, -5.0), ({0: 1.0}, 10.0)],
+    ]
+
+
+def test_rhr_of_an_aligned_empty_disjunct_matches_hull():
+    # [x <= 2] v [x <= 4, x >= 5] over x in [0, 10], min -x: the second
+    # disjunct is empty, so its indicator is fixed at 0 and x <= 2
+    m = one_variable_model([[(1.0, 2.0)], [(1.0, 4.0), (-1.0, -5.0)]], {0: -1.0})
+    aligned = align_model(m)
+    assert aligned.logic == [LinRow({1: 1}, 0, LE)]
+    assert align_model(aligned) == aligned
+    assert solve_lp(reformulate_hull(m)).objective == pytest.approx(-2.0, abs=1e-9)
+    assert solve_lp(reformulate_rhr(aligned)).objective == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_align_model_rejects_an_invalid_model():
     m = interval_union_model()
-    aligned = GdpModel(
-        vars=m.vars,
-        bools=m.bools,
-        objective=m.objective,
-        global_rows=m.global_rows,
-        disjunctions=[align_disjunction(m.disjunctions[0], m.boxes())],
-        logic=[],
-    )
-    milp = reformulate_rhr(aligned)
+    bad = Disjunct(0, [LinRow({3: 1.0}, 2.0)])
+    m.disjunctions = [Disjunction([bad, m.disjunctions[0].disjuncts[1]])]
+    message = "invalid model: disjunction 0, disjunct 0, row 0: references undeclared variable 3"
+    for step in (align_model, reformulate_hull):
+        with pytest.raises(ValueError) as err:
+            step(m)
+        assert str(err.value) == message
+
+
+def test_rhr_interval_union_matches_hull():
+    milp = reformulate_rhr(align_model(interval_union_model()))
     assert milp.num_continuous == 1  # no disaggregated copies
     rows = {r.provenance: r for r in milp.rows}
     #  x <= 2 y1 + 10 y2   and  -x <= 0 y1 - 5 y2
@@ -704,6 +744,35 @@ def test_hull_copies_only_used_variables_and_keeps_the_relaxation(gen, n, seed, 
         want = solve_lp(replace(full, objective=objective))
         assert got.status == want.status == "optimal"
         assert abs(got.objective - want.objective) <= 1e-7 * max(1.0, abs(want.objective))
+
+
+BOUND_CASES = [
+    (gen, n, seed, concept)
+    for gen, n, concepts in (
+        (gen_scheduling, 5, ("GP", "GP_S", "IP", "TS")),
+        (gen_strip, 4, ("S_original", "S_symbreak", "S0", "S1")),
+    )
+    for concept in concepts
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "gen,n,seed,concept", BOUND_CASES, ids=[f"{c}-n{n}-s{s}" for _, n, s, c in BOUND_CASES]
+)
+def test_hull_writes_no_row_that_repeats_a_copy_bound(gen, n, seed, concept):
+    """A one-coefficient hull row on a copy column cuts into its column box."""
+    model = build_model(gen(n, seed), concept)
+    milp = reformulate_hull(model)
+    for r in milp.rows:
+        if len(r.coeffs) != 1:
+            continue
+        ((col, a),) = r.coeffs.items()
+        var = milp.variables[col]
+        if col < len(model.vars) or var.is_binary:
+            continue
+        assert r.sense == LE, r.provenance
+        assert (r.rhs / a < var.upper) if a > 0 else (r.rhs / a > var.lower), r.provenance
 
 
 INCUMBENT_CASES = [(gen_scheduling, n, seed, "IP") for n in (3, 4, 5) for seed in range(3)] + [
