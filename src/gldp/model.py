@@ -24,6 +24,8 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, le
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 LE = "<="
@@ -203,7 +205,79 @@ def validate(model: GdpModel) -> List[str]:
     Returns a list of human-readable diagnostics; an empty list means the
     model is well formed.  Validation never raises: a value that is not a
     finite number where one is expected is reported as a diagnostic.
+
+    A bulk check runs first.  It gathers every bound, index, coefficient and
+    right-hand side into flat lists and tests each list at once: the set of
+    its types, its minimum and maximum index, whether its sum is finite,
+    and duplicate names through a set.  When that passes the model is well
+    formed.  Otherwise the model is walked row by row, which writes the
+    diagnostics; a value the bulk check does not take (a ``Fraction``, a
+    ``numpy`` scalar, a bool) may still be valid there.
     """
+    if _bulk_valid(model):
+        return []
+    return _diagnose(model)
+
+
+def _numbers(values: List) -> bool:
+    """True when every value is an ``int`` or ``float`` (no bool) and their
+    sum is finite, so each value is."""
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return math.isfinite(sum(values))
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _indices(values: List, size: int) -> bool:
+    """True when every value is an ``int`` (no bool) in ``range(size)``."""
+    return not values or (set(map(type, values)) <= {int} and min(values) >= 0 and max(values) < size)
+
+
+def _bulk_valid(model: GdpModel) -> bool:
+    """True only when :func:`_diagnose` finds nothing (see :func:`validate`)."""
+    nv, nb = len(model.vars), len(model.bools)
+    lowers = [v.lower for v in model.vars]
+    uppers = [v.upper for v in model.vars]
+    disjuncts = list(chain.from_iterable(d.disjuncts for d in model.disjunctions))
+    rows = list(chain(model.global_rows, chain.from_iterable(map(attrgetter("rows"), disjuncts))))
+    coeffs = list(map(attrgetter("coeffs"), rows))
+    logic = list(map(attrgetter("coeffs"), model.logic))
+    try:
+        senses = set(map(attrgetter("sense"), rows))
+        logic_senses = set(map(attrgetter("sense"), model.logic))
+    except TypeError:  # an unhashable sense
+        return False
+    if not (set(map(type, chain(coeffs, logic))) <= {dict} and type(model.objective) is dict):
+        return False
+    per_row = list(map(dict.values, coeffs))
+    logic_values = list(chain.from_iterable(map(dict.values, logic)))
+    logic_values += map(attrgetter("rhs"), model.logic)
+    names = [v.name for v in model.vars] + list(model.bools)
+    return (
+        _numbers(lowers + uppers + list(chain.from_iterable(per_row)) + list(map(attrgetter("rhs"), rows)))
+        and _numbers(list(model.objective.values()))
+        and all(map(le, lowers, uppers))
+        and all(map(any, per_row))
+        and senses <= set(SENSES)
+        and _indices(list(chain.from_iterable(coeffs)), nv)
+        and _indices(list(model.objective), nv)
+        and all(len(d.disjuncts) >= 2 for d in model.disjunctions)
+        and _indices(list(map(attrgetter("indicator"), disjuncts)), nb)
+        and all(
+            len(set(map(attrgetter("indicator"), d.disjuncts))) == len(d.disjuncts)
+            for d in model.disjunctions
+        )
+        and logic_senses <= {LE, EQ}
+        and _indices(list(chain.from_iterable(logic)), nb)
+        and all(type(a) is int or (type(a) is float and a.is_integer()) for a in logic_values)
+        and len(set(names)) == len(names)
+    )
+
+
+def _diagnose(model: GdpModel) -> List[str]:
+    """The row-by-row walk of :func:`validate`, which writes its messages."""
     diags: List[str] = []
     nv, nb = len(model.vars), len(model.bools)
 

@@ -37,7 +37,11 @@ of its variables, with right-hand sides equal to the rows' maxima over the
 disjunct within the box, and the indicator of any disjunct that is empty
 within the box is fixed at 0.  It is the one way to that form; it aligns a
 disjunction that already shares a left-hand side too, because sharing alone
-does not make the right-hand sides support values.
+does not make the right-hand sides support values.  It works in one batch
+per shape of disjunction: the difference bounds of all disjunctions with the
+same number of variables and the same row keys are stacked into one numpy
+array, closed by one Floyd-Warshall pass, and every support value is read
+from that stack.
 
 The reaggregated root equals the hull root when each disjunction is aligned
 from difference rows (``x_a - x_b <= c``, ``±x_a <= c``) whose variables
@@ -50,9 +54,12 @@ hull along the makespan, but not as a set until ``align_model`` aligns it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .model import (
     EQ,
@@ -157,75 +164,136 @@ def _difference_form(
     return None
 
 
-def _difference_closure(
-    rows: Sequence[LinRow], dvars: Sequence[int], boxes: Boxes
-) -> Optional[Dict[Tuple[Optional[int], Optional[int]], float]]:
-    """Tightest bounds ``x_a - x_b <= D[a, b]`` implied by a disjunct's
-    difference rows and the box.
+def _difference_closures(
+    lo: np.ndarray, hi: np.ndarray, disjuncts: int, cells: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Tightest bounds ``x_a - x_b <= D[k, j, a, b]`` implied by the
+    difference rows of disjunct ``j`` of disjunction ``k`` and the box, for
+    a stack of disjunctions of one shape (see :func:`align_model`).
 
-    Floyd-Warshall over the variables plus a zero node (key ``None``).  The
-    bounds are the exact maxima over the disjunct within the box when every
-    row is a difference row.  Returns ``None`` on a negative cycle, that is
-    when the difference rows admit no point of the box.
+    ``lo`` and ``hi`` hold the ``(K, n)`` boxes of the disjunctions'
+    variables, renamed ``0..n-1``; node ``n`` is the constant zero.  Each
+    row ``e`` of the ``(E, 4)`` array ``cells`` is one difference row: its
+    disjunct ``j``, its nodes ``a`` and ``b`` and its scale ``t > 0``, so
+    that the row of disjunction ``k`` reads ``t * (x_a - x_b) <= rhs[k, e]``.
+    Floyd-Warshall runs over ``m`` on the whole ``(K, J, n+1, n+1)`` stack
+    at once.  The bounds are the exact maxima over the disjunct within the
+    box when every row is a difference row.  A diagonal entry below
+    ``-EMPTY_TOL`` marks a negative cycle: the difference rows admit no
+    point of the box.
     """
-    nodes: List[Optional[int]] = list(dvars) + [None]
-    pos = {v: i for i, v in enumerate(nodes)}
-    n, zero = len(nodes), len(nodes) - 1
-    d = [[0.0 if i == j else math.inf for j in range(n)] for i in range(n)]
-    for i, v in enumerate(dvars):
-        d[i][zero], d[zero][i] = boxes[v][1], -boxes[v][0]
-    for r in rows:
-        form = _difference_form(r.coeffs)
+    n = lo.shape[1]
+    d = np.full((lo.shape[0], disjuncts, n + 1, n + 1), math.inf)
+    diag = np.arange(n + 1)
+    d[:, :, diag, diag] = 0.0
+    d[:, :, :n, n] = hi[:, None, :]
+    d[:, :, n, :n] = -lo[:, None, :]
+    j, a, b = cells[:, :3].astype(np.intp).T
+    np.minimum.at(d, (slice(None), j, a, b), rhs / cells[:, 3])
+    later = np.arange(n + 1)[None, :] > np.arange(n + 1)[:, None]  # later[m, b]: b > m
+    for m in range(n + 1):
+        # Step m gives the values of the plain triple loop that updates d in
+        # place, rows in order and each row left to right: d[a, m] changes
+        # at b = m and the later entries of row a add its new value, and
+        # the rows after row m read row m as updated.  That differs from an
+        # update out of place only on a negative cycle, such as one of
+        # weight -5.6e-17 from rounding, too small to make a disjunct empty.
+        row, dm = d[..., m, :], d[..., m, m, None]
+        step = np.where(later[m], np.minimum(dm + dm, dm), dm)
+        via = np.where(later[m][:, None], np.minimum(row, step + row)[..., None, :], row[..., None, :])
+        col = d[..., :, m, None]
+        d = np.minimum(d, np.where(later[m], col + np.minimum(via[..., m, None], 0.0), col) + via)
+    return d
+
+
+class _Layout(NamedTuple):
+    """The index arrays of one shape (see :func:`align_model`): the same for
+    every disjunction of that shape."""
+
+    keys: Tuple[tuple, ...]  # the shared keys over variables 0..n-1, sorted
+    coef: np.ndarray  # (Q, n): the coefficients of each key
+    own: Tuple[np.ndarray, ...]  # per key of a disjunct: disjunct, key column, its first row
+    cells: np.ndarray  # (E, 4): disjunct, nodes a and b, scale t of each difference row
+    cell_rows: np.ndarray  # (E,): the rows of the shape that cells describes
+    diff: Tuple[np.ndarray, ...]  # per difference key: its column, nodes a and b, scale t
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(shape: tuple) -> _Layout:
+    """The layout of ``shape``, made once per shape: small models of a few
+    shapes are aligned again and again, and building it is most of their
+    cost.  Its arrays are read-only."""
+    n, row_keys = shape[0], shape[1:]
+    box_keys = (((i, s),) for i in range(n) for s in (1.0, -1.0))
+    keys = tuple(sorted({k for ks in row_keys for k in ks}.union(box_keys)))
+    col = {k: q for q, k in enumerate(keys)}
+    # each row of the shape, across its disjuncts: its disjunct and key column
+    rows = [(j, col[k]) for j, ks in enumerate(row_keys) for k in ks]
+    # A disjunct's canonical rows are sorted by key, then right-hand side,
+    # so the first row of a key has its smallest right-hand side.
+    first: Dict[Tuple[int, int], int] = {}
+    for i, jq in enumerate(rows):
+        first.setdefault(jq, i)
+    coef = np.zeros((len(keys), n))
+    for q, key in enumerate(keys):
+        for i, a in key:
+            coef[q, i] = a
+    # A difference key reads t * D[a, b], with the zero node as n.
+    cell: Dict[int, Tuple[int, int, float]] = {}
+    for q, key in enumerate(keys):
+        form = _difference_form(dict(key))
         if form is not None:
             a, b, t = form
-            i, j = pos[a], pos[b]
-            d[i][j] = min(d[i][j], r.rhs / t)
-    for m in range(n):
-        dm = d[m]
-        for da in d:
-            if da[m] == math.inf:
-                continue
-            # da[m] is read on each step: on a negative cycle through m it
-            # changes during the sweep.
-            for b, dmb in enumerate(dm):
-                if da[m] + dmb < da[b]:
-                    da[b] = da[m] + dmb
-    if any(d[i][i] < -EMPTY_TOL for i in range(n)):
-        return None
-    return {(a, b): d[i][j] for i, a in enumerate(nodes) for j, b in enumerate(nodes)}
+            cell[q] = (n if a is None else a, n if b is None else b, t)
+    e = [i for i, (_, q) in enumerate(rows) if q in cell]
+    own = np.array([jq + (i,) for jq, i in first.items()], dtype=np.intp).reshape(-1, 3).T
+    diff = np.array([(q,) + c for q, c in cell.items()]).reshape(-1, 4).T
+    layout = _Layout(
+        keys,
+        coef,
+        tuple(own),
+        np.array([(rows[i][0],) + cell[rows[i][1]] for i in e]).reshape(-1, 4),
+        np.array(e, dtype=np.intp),
+        tuple(diff[:3].astype(np.intp)) + (diff[3],),
+    )
+    for x in (layout.coef, layout.cells, layout.cell_rows, *layout.own, *layout.diff):
+        x.flags.writeable = False
+    return layout
 
 
-def _align(canon: Sequence[Disjunct], label: str, boxes: Boxes) -> Tuple[Disjunction, List[int]]:
-    """One disjunction of canonical disjuncts aligned as :func:`align_model`
-    describes, plus the indicators of its empty disjuncts."""
-    dvars = sorted({v for d in canon for r in d.rows for v in r.coeffs})
-    keys = {_coeff_key(r) for d in canon for r in d.rows}
-    keys.update(((v, s),) for v in dvars for s in (1.0, -1.0))
-    # Per shared row, once per disjunction: its key, coefficients (one dict
-    # for every disjunct), difference form and interval maximum.
-    shared = []
-    for k in sorted(keys):
-        coeffs = dict(k)
-        shared.append((k, coeffs, _difference_form(coeffs), interval_max(coeffs, boxes)))
-    aligned: List[Disjunct] = []
-    empty: List[int] = []
-    for d in canon:
-        own: Dict[tuple, float] = {}
-        for r in d.rows:
-            k = _coeff_key(r)
-            own[k] = min(own.get(k, math.inf), r.rhs)
-        closure = _difference_closure(d.rows, dvars, boxes)
-        if closure is None:
-            empty.append(d.indicator)
-        rows = []
-        for k, coeffs, form, bound in shared:
-            if closure is not None and form is not None:
-                a, b, t = form
-                bound = t * closure[a, b]
-            # "+ 0.0" turns a -0.0 bound into 0.0
-            rows.append(LinRow(coeffs, min(own.get(k, math.inf), bound) + 0.0, LE))
-        aligned.append(Disjunct(d.indicator, rows))
-    return Disjunction(aligned, label), empty
+def _align_shape(
+    shape: tuple, members: Sequence[Tuple[List[int], List[Sequence[LinRow]]]], lo: np.ndarray, hi: np.ndarray
+) -> Tuple[Tuple[tuple, ...], np.ndarray, np.ndarray]:
+    """The support values of a stack of disjunctions of one shape.
+
+    ``members`` holds each disjunction's sorted variables and canonical
+    rows.  Returns the shared keys over variables ``0..n-1`` in sorted
+    order, the ``(K, J, Q)`` right-hand sides of each disjunct's shared rows
+    and the ``(K, J)`` mask of empty disjuncts.
+    """
+    lay = _layout(shape)
+    n, J, Q, K = shape[0], len(shape) - 1, len(lay.keys), len(members)
+    rhs = np.array([[r.rhs for rs in canon for r in rs] for _, canon in members], dtype=float).reshape(K, -1)
+    dv = np.array([dvars for dvars, _ in members], dtype=np.intp).reshape(K, n)
+    klo, khi = lo[dv], hi[dv]
+
+    # interval_max of every key, summed over the variables in sorted order
+    tops = np.zeros((K, Q))
+    for i in range(n):
+        c = lay.coef[:, i]
+        tops = tops + c * np.where(c > 0, khi[:, i, None], klo[:, i, None])
+
+    d = _difference_closures(klo, khi, J, lay.cells, rhs[:, lay.cell_rows])
+    empty = (np.diagonal(d, axis1=2, axis2=3) < -EMPTY_TOL).any(axis=2)
+    bound = np.repeat(tops[:, None, :], J, axis=1)
+    q, a, b, t = lay.diff
+    bound[:, :, q] = t * d[:, :, a, b]
+    bound = np.where(empty[:, :, None], tops[:, None, :], bound)
+    own = np.full((K, J, Q), math.inf)
+    j, q, i = lay.own
+    own[:, j, q] = rhs[:, i]
+    # "+ 0.0" turns a -0.0 bound into 0.0
+    return lay.keys, np.minimum(own, bound) + 0.0, empty
 
 
 def align_model(model: GdpModel) -> GdpModel:
@@ -246,6 +314,15 @@ def align_model(model: GdpModel) -> GdpModel:
     that already shares a left-hand side is aligned too: its right-hand
     sides need not be support values.
 
+    The work is batched by shape.  A disjunction's shape is its number of
+    variables and its disjuncts' canonical row keys, with the variables
+    renamed ``0..n-1`` in sorted order (which keeps the keys' sorted
+    order).  The disjunctions of one shape are stacked into one
+    ``(K, J, n+1, n+1)`` array of difference bounds, with the boxes on a
+    zero node, and one Floyd-Warshall pass closes the whole stack; every
+    support value is then read from it by array indexing.  Only the rows of
+    the result are built one by one.
+
     When the closure finds ``B ∩ D_j`` empty, ``D_j`` keeps its own rows and
     gets interval maxima for the rest, and a logic row ``y_j <= 0`` fixes
     its indicator at 0 unless one already does.  (The hull pass forces that
@@ -258,15 +335,41 @@ def align_model(model: GdpModel) -> GdpModel:
     is not modified.
     """
     _reject_invalid(model)
-    boxes = model.boxes()
+    lo = np.array([v.lower for v in model.vars], dtype=float)
+    hi = np.array([v.upper for v in model.vars], dtype=float)
+    parts: List[Tuple[List[int], List[Sequence[LinRow]]]] = []
+    shapes: Dict[tuple, List[int]] = {}
+    for k, disj in enumerate(model.disjunctions):
+        canon = [canonicalize_rows(d).rows for d in disj.disjuncts]
+        dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
+        pos = {v: i for i, v in enumerate(dvars)}
+        shape = (len(dvars),) + tuple(
+            tuple(tuple([(pos[v], a) for v, a in sorted(r.coeffs.items())]) for r in rows)
+            for rows in canon
+        )
+        shapes.setdefault(shape, []).append(k)
+        parts.append((dvars, canon))
+    aligned: List[tuple] = [()] * len(parts)
+    for shape, ks in shapes.items():
+        keys, rhs, empty = _align_shape(shape, [parts[k] for k in ks], lo, hi)
+        for k, kr, ke in zip(ks, rhs.tolist(), empty.tolist()):
+            aligned[k] = (keys, kr, ke)
+
     disjunctions: List[Disjunction] = []
     logic = list(model.logic)
     fixed = {y for r in logic for y in r.coeffs if r == LinRow({y: 1}, 0, LE)}
-    for disj in model.disjunctions:
-        canon = [canonicalize_rows(d) for d in disj.disjuncts]
-        disj, empty = _align(canon, disj.label, boxes)
-        logic.extend(LinRow({y: 1}, 0, LE) for y in empty if y not in fixed)
-        disjunctions.append(disj)
+    for disj, (dvars, _), (keys, rhs, empty) in zip(model.disjunctions, parts, aligned):
+        # one coefficient dict per shared row, for every disjunct
+        coeffs = [{dvars[i]: a for i, a in key} for key in keys]
+        disjunctions.append(Disjunction(
+            [Disjunct(d.indicator, [LinRow(c, b, LE) for c, b in zip(coeffs, rr)])
+             for d, rr in zip(disj.disjuncts, rhs)],
+            disj.label,
+        ))
+        logic.extend(
+            LinRow({d.indicator: 1}, 0, LE)
+            for d, e in zip(disj.disjuncts, empty) if e and d.indicator not in fixed
+        )
     return replace(model, disjunctions=disjunctions, logic=logic)
 
 

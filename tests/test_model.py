@@ -1,5 +1,8 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +16,13 @@ from gldp import (
     GdpModel,
     LinRow,
     canonicalize_rows,
+    build_model,
     check_assignment,
+    gen_scheduling,
+    gen_strip,
     validate,
 )
+from gldp.model import _bulk_valid, _diagnose
 
 
 def tiny_model(**overrides):
@@ -133,6 +140,92 @@ def test_objective_coefficients_must_be_finite_numbers():
         "objective: coefficient on variable 0 is not finite",
         "objective: coefficient on variable 1 is not a number",
     ]
+
+
+def with_disjunct_row(m, fn):
+    """``m`` with ``fn`` applied to the last row of the first disjunct of
+    its middle disjunction."""
+    k = len(m.disjunctions) // 2
+    disj = m.disjunctions[k]
+    first = disj.disjuncts[0]
+    rows = list(first.rows[:-1]) + [fn(first.rows[-1])]
+    new = Disjunction([Disjunct(first.indicator, rows)] + list(disj.disjuncts[1:]), disj.label)
+    return replace(m, disjunctions=m.disjunctions[:k] + [new] + m.disjunctions[k + 1 :])
+
+
+def with_global_row(m, fn):
+    return replace(m, global_rows=[fn(m.global_rows[0])] + m.global_rows[1:])
+
+
+def coefficient(value):
+    """A row with ``value`` in place of its first coefficient."""
+    return lambda r: LinRow({**r.coeffs, next(iter(r.coeffs)): value}, r.rhs, r.sense)
+
+
+def first_index(v):
+    """A row with its first coefficient moved onto variable ``v``."""
+    return lambda r: LinRow(
+        {v if i == 0 else u: a for i, (u, a) in enumerate(r.coeffs.items())}, r.rhs, r.sense
+    )
+
+
+def with_logic(coeff):
+    return lambda m: replace(m, logic=m.logic + [LinRow({0: coeff, 1: 1}, 1, LE)])
+
+
+BREAKS = {
+    "valid": lambda m: m,
+    **{
+        f"{where}-coefficient-{name}": lambda m, f=f, v=v: f(m, coefficient(v))
+        for where, f in (("disjunct", with_disjunct_row), ("global", with_global_row))
+        for name, v in (
+            ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("fraction", Fraction(1, 3)),
+            ("float64", np.float64(2.0)), ("bool", True), ("huge-int", 10**400),
+        )
+    },
+    "objective-nan": lambda m: replace(m, objective={**m.objective, 0: math.nan}),
+    "objective-fraction": lambda m: replace(m, objective={**m.objective, 0: Fraction(1, 2)}),
+    "rhs-huge-int": lambda m: with_disjunct_row(m, lambda r: LinRow(r.coeffs, 10**400, r.sense)),
+    "box-huge-int": lambda m: replace(m, vars=[replace(m.vars[0], upper=10**400)] + m.vars[1:]),
+    "index-out-of-range": lambda m: with_disjunct_row(m, first_index(len(m.vars))),
+    "index-negative": lambda m: with_global_row(m, first_index(-1)),
+    "index-bool": lambda m: with_disjunct_row(m, first_index(True)),
+    # indicator 0, of the first disjunct of the first disjunction, as False
+    "indicator-bool": lambda m: replace(m, disjunctions=[
+        Disjunction([Disjunct(False, d.disjuncts[0].rows)] + list(d.disjuncts[1:]), d.label)
+        for d in m.disjunctions[:1]] + m.disjunctions[1:]),
+    "empty-row": lambda m: with_disjunct_row(m, lambda r: LinRow({}, r.rhs, r.sense)),
+    "zero-row": lambda m: with_global_row(m, lambda r: LinRow(dict.fromkeys(r.coeffs, 0.0), r.rhs)),
+    "unknown-sense": lambda m: with_disjunct_row(m, lambda r: LinRow(r.coeffs, r.rhs, "<")),
+    "logic-1.5": with_logic(1.5),
+    "logic-1.0": with_logic(1.0),
+    "logic-nan": with_logic(math.nan),
+    "logic-sense": lambda m: replace(m, logic=m.logic + [LinRow({0: 1}, 1, ">=")]),
+    "duplicate-name": lambda m: replace(m, bools=[m.bools[1]] + m.bools[1:]),
+    "duplicate-var-name": lambda m: replace(m, vars=[replace(m.vars[0], name=m.bools[0])] + m.vars[1:]),
+}
+# What the row-by-row walk accepts; the bulk check takes only "valid" and "logic-1.0".
+VALID_BREAKS = {"valid", "objective-fraction", "index-bool", "indicator-bool", "logic-1.0"} | {
+    f"{where}-coefficient-{name}"
+    for where in ("disjunct", "global")
+    for name in ("fraction", "float64", "bool")
+}
+
+
+@pytest.mark.parametrize(
+    "concept,inst", [("GP_S", gen_scheduling(4, 1)), ("S1", gen_strip(4, 1))], ids=["GP_S", "S1"]
+)
+@pytest.mark.parametrize("brk", sorted(BREAKS))
+def test_bulk_validation_gives_the_messages_of_the_walk(concept, inst, brk, monkeypatch):
+    m = BREAKS[brk](build_model(inst, concept))
+    walked = _diagnose(m)
+    bulk = brk in ("valid", "logic-1.0")
+    assert _bulk_valid(m) == bulk
+    if bulk:  # a model the bulk check clears is not walked
+        monkeypatch.setattr("gldp.model._diagnose", lambda m: pytest.fail("walked"))
+    diags = validate(m)
+    assert diags == walked
+    assert (diags == []) == (brk in VALID_BREAKS)
 
 
 def test_canonicalize_flips_ge_rows():

@@ -39,7 +39,7 @@ from gldp import (
     validate,
 )
 from gldp.milp import LpEngine
-from gldp.reformulate import EMPTY_TOL, _difference_closure, _difference_form, _lower
+from gldp.reformulate import EMPTY_TOL, _difference_closures, _difference_form, _lower
 
 
 def interval_union_model():
@@ -366,7 +366,7 @@ def test_align_fixes_empty_disjunct():
 
 def plain_closure(rows, dvars, boxes):
     """Floyd-Warshall over a dict keyed by node pairs, the zero node as
-    ``None``: the reference for ``_difference_closure``."""
+    ``None``: the reference for ``_difference_closures``."""
     nodes = list(dvars) + [None]
     dist = {(a, b): 0.0 if a == b else math.inf for a in nodes for b in nodes}
     for v in dvars:
@@ -392,24 +392,46 @@ CLOSURE_BOXES = {0: (0.0, 10.0), 1: (-2.5, 4.0), 2: (0.0, 3.3)}
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
-        st.tuples(
-            st.sampled_from(
-                [{0: 1.0, 1: -1.0}, {1: 2.0, 0: -2.0}, {1: 1.0, 2: -1.0}, {2: 0.5, 0: -0.5},
-                 {0: 1.0}, {1: -1.0}, {2: 3.0}, {0: 1.0, 2: 1.0}]
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    [{0: 1.0, 1: -1.0}, {1: 2.0, 0: -2.0}, {1: 1.0, 2: -1.0}, {2: 0.5, 0: -0.5},
+                     {0: 1.0}, {1: -1.0}, {2: 3.0}, {0: 1.0, 2: 1.0}]
+                ),
+                st.integers(-40, 40).map(lambda k: k / 10),
             ),
-            st.integers(-40, 40).map(lambda k: k / 10),
+            max_size=8,
         ),
-        max_size=8,
+        min_size=1,
+        max_size=4,
     )
 )
 # x0 - x1 <= 0.3 and x1 - x0 <= -(0.1 + 0.2): a cycle of weight -5.6e-17,
 # too small to make the disjunct empty.
-@example([({0: 1.0, 1: -1.0}, 0.3), ({1: 1.0, 0: -1.0}, -(0.1 + 0.2)), ({1: 1.0, 2: -1.0}, 0.7)])
-def test_difference_closure_matches_plain_floyd_warshall(rows):
-    rows = [LinRow(dict(c), b) for c, b in rows]
-    assert _difference_closure(rows, [0, 1, 2], CLOSURE_BOXES) == plain_closure(
-        rows, [0, 1, 2], CLOSURE_BOXES
+@example([[({0: 1.0, 1: -1.0}, 0.3), ({1: 1.0, 0: -1.0}, -(0.1 + 0.2)), ({1: 1.0, 2: -1.0}, 0.7)], []])
+def test_difference_closure_matches_plain_floyd_warshall(disjuncts):
+    # One stack of the disjuncts' difference bounds over x0, x1, x2 and the
+    # zero node 3, closed at once.
+    rows = [[LinRow(dict(c), b) for c, b in rs] for rs in disjuncts]
+    node = lambda v: 3 if v is None else v
+    cells, rhs = [], []
+    for j, rs in enumerate(rows):
+        for r in rs:
+            form = _difference_form(r.coeffs)
+            if form is not None:
+                cells.append((j, node(form[0]), node(form[1]), form[2]))
+                rhs.append(r.rhs)
+    lo, hi = np.array([[CLOSURE_BOXES[v][s] for v in range(3)] for s in (0, 1)])
+    d = _difference_closures(
+        lo[None], hi[None], len(rows), np.array(cells).reshape(-1, 4), np.array(rhs).reshape(1, -1)
     )
+    nodes = [0, 1, 2, None]
+    for j, rs in enumerate(rows):
+        ref = plain_closure(rs, [0, 1, 2], CLOSURE_BOXES)
+        empty = bool((np.diagonal(d[0, j]) < -EMPTY_TOL).any())
+        assert empty == (ref is None)
+        if ref is not None:
+            assert {(u, v): d[0, j, node(u), node(v)] for u in nodes for v in nodes} == ref
 
 
 def lp_support(disjunct, coeffs, dvars, boxes):
@@ -460,6 +482,76 @@ def test_aligned_roots_agree_and_match_lp_supports(target, n, seed):
                 continue
             assert d.indicator not in fixed
             assert [r.rhs for r in ad.rows] == pytest.approx(supports, abs=1e-9)
+
+
+@st.composite
+def mixed_shape_models(draw):
+    """One model over x0, x1, x2 whose disjunctions come in several shapes
+    (see ``align_model``), with right-hand sides in halves."""
+    lo = [draw(st.integers(-3, 3)) for _ in range(3)]
+    hi = [lo[v] + draw(st.integers(1, 6)) for v in range(3)]
+    c = lambda: draw(st.integers(-12, 12)) / 2
+    diff = lambda a, b, t=1.0: {a: t, b: -t}
+    corner = lambda: draw(st.integers(max(hi[0] + lo[1], lo[0] + hi[1]), hi[0] + hi[1]))
+    # [2 x_a - 2 x_b <= 2c] v [x_b - x_a <= c]
+    pair = lambda a, b: [[(diff(a, b, 2.0), 2 * c())], [(diff(b, a), c())]]
+    disjunctions = [
+        # one variable; the second disjunct repeats a key with two right-hand sides
+        [[({0: 1.0}, c())], [({0: -1.0}, c()), ({0: -1.0}, c())]],
+        pair(0, 1),
+        pair(1, 2),  # the same shape as pair(0, 1)
+        [[({2: -2.0, 0: 2.0}, 2 * c())], [({2: 1.0, 0: -1.0}, c())]],  # again, keys in another order
+        pair(2, 0),  # renamed in sorted order, a shape of its own
+        # three variables, an equality, and a disjunct empty in the box
+        [
+            [(diff(0, 1), c()), (diff(1, 2), c())],
+            [(diff(2, 0), c(), EQ)],
+            [({1: -1.0}, -hi[1] - draw(st.integers(1, 3)))],
+        ],
+        # a row that is not a difference row, twice with its own right-hand
+        # side; it cuts only the corner (hi0, hi1) of the box, and the other
+        # disjunct keeps that corner, so every support value is still the
+        # closure's, the box's or the row's
+        [
+            [({0: 1.0, 1: 1.0}, corner()), ({0: 1.0, 1: 1.0}, corner())],
+            [(diff(0, 1), draw(st.integers(hi[0] - hi[1], hi[0] - lo[1])))],
+        ],
+    ]
+    bools = []
+    built = []
+    for k, disjuncts in enumerate(disjunctions):
+        ds = []
+        for rows in disjuncts:
+            ds.append(Disjunct(len(bools), [LinRow(dict(r[0]), float(r[1]), *r[2:]) for r in rows]))
+            bools.append(f"y{len(bools)}")
+        built.append(Disjunction(ds, label=f"d{k}"))
+    return GdpModel(
+        vars=[ContinuousVar(f"x{v}", float(lo[v]), float(hi[v])) for v in range(3)],
+        bools=bools,
+        objective={0: 1.0},
+        global_rows=[],
+        disjunctions=built,
+        logic=[],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_shape_models())
+def test_align_model_batches_mixed_shapes(m):
+    aligned = align_model(m)
+    boxes = m.boxes()
+    empty = []
+    for disj, adisj in zip(m.disjunctions, aligned.disjunctions):
+        dvars = sorted({v for d in disj.disjuncts for r in d.rows for v in r.coeffs})
+        for d, ad in zip(disj.disjuncts, adisj.disjuncts):
+            supports = [lp_support(d, r.coeffs, dvars, boxes) for r in ad.rows]
+            if supports[0] is None:
+                empty.append(d.indicator)
+                continue
+            assert [r.rhs for r in ad.rows] == pytest.approx(supports, abs=1e-9)
+    assert empty  # the deliberately empty disjunct, at least
+    assert aligned.logic == [LinRow({y: 1}, 0, LE) for y in empty]
+    assert align_model(aligned) == aligned
 
 
 @settings(max_examples=40, deadline=None)
