@@ -204,7 +204,9 @@ def validate(model: GdpModel) -> List[str]:
 
     Returns a list of human-readable diagnostics; an empty list means the
     model is well formed.  Validation never raises: a value that is not a
-    finite number where one is expected is reported as a diagnostic.
+    finite number where one is expected, coefficients or an objective that
+    are not a ``dict`` and a name that is not a ``str`` are reported as
+    diagnostics.
 
     A bulk check runs first.  It gathers every bound, index, coefficient and
     right-hand side into flat lists and tests each list at once: the set of
@@ -272,6 +274,7 @@ def _bulk_valid(model: GdpModel) -> bool:
         and logic_senses <= {LE, EQ}
         and _indices(list(chain.from_iterable(logic)), nb)
         and all(type(a) is int or (type(a) is float and a.is_integer()) for a in logic_values)
+        and set(map(type, names)) <= {str}
         and len(set(names)) == len(names)
     )
 
@@ -289,12 +292,17 @@ def _diagnose(model: GdpModel) -> List[str]:
                 f"variable {i} ({v.name}): lower {v.lower} exceeds upper {v.upper}"
             )
 
+    def items(coeffs) -> Iterable:  # none when coeffs is not a dict, which is reported
+        return coeffs.items() if isinstance(coeffs, dict) else ()
+
     def check_row(row: LinRow, where: str) -> None:
         if row.sense not in SENSES:
             diags.append(f"{where}: unknown sense {row.sense!r}")
-        if not row.coeffs or all(a == 0.0 for a in row.coeffs.values()):
+        if not isinstance(row.coeffs, dict):
+            diags.append(f"{where}: coefficients are not a dict")
+        elif not row.coeffs or all(a == 0.0 for a in row.coeffs.values()):
             diags.append(f"{where}: row has no nonzero coefficient")
-        for v, a in row.coeffs.items():
+        for v, a in items(row.coeffs):
             if not isinstance(v, int) or not 0 <= v < nv:
                 diags.append(f"{where}: references undeclared variable {v}")
             if problem := _not_finite(a):
@@ -323,7 +331,9 @@ def _diagnose(model: GdpModel) -> List[str]:
     for li, lrow in enumerate(model.logic):
         if lrow.sense not in (LE, EQ):
             diags.append(f"logic row {li}: sense must be {LE} or {EQ}")
-        for b, a in lrow.coeffs.items():
+        if not isinstance(lrow.coeffs, dict):
+            diags.append(f"logic row {li}: coefficients are not a dict")
+        for b, a in items(lrow.coeffs):
             if not isinstance(b, numbers.Integral) or not 0 <= b < nb:
                 diags.append(f"logic row {li}: references undeclared indicator {b}")
             if not _is_integer(a):
@@ -331,14 +341,19 @@ def _diagnose(model: GdpModel) -> List[str]:
         if not _is_integer(lrow.rhs):
             diags.append(f"logic row {li}: non-integer right-hand side")
 
-    for v, a in model.objective.items():
+    if not isinstance(model.objective, dict):
+        diags.append("objective: not a dict")
+    for v, a in items(model.objective):
         if not isinstance(v, numbers.Integral) or not 0 <= v < nv:
             diags.append(f"objective: references undeclared variable {v}")
         if problem := _not_finite(a):
             diags.append(f"objective: coefficient on variable {v} is {problem}")
 
-    counts = Counter([v.name for v in model.vars] + list(model.bools))
-    for n in sorted((n for n, c in counts.items() if c > 1), key=str):
+    names = [(f"variable {i}", v.name) for i, v in enumerate(model.vars)]
+    names += [(f"indicator {b}", n) for b, n in enumerate(model.bools)]
+    diags += [f"{where}: name {n!r} is not a string" for where, n in names if not isinstance(n, str)]
+    counts = Counter(n for _, n in names if isinstance(n, str))
+    for n in sorted(n for n, c in counts.items() if c > 1):
         diags.append(f"duplicate variable name {n!r}")
 
     return diags

@@ -22,14 +22,16 @@ Three passes are provided:
 The passes differ only in the rows they write for a disjunction.  All three
 run one loop, ``_lower``: validate the model, copy its variables, indicators,
 global rows, logic rows and objective, then, per disjunction, canonicalize
-the disjuncts once, let the pass write its rows and add the exclusive-or row
-over the indicators.
+the disjuncts once, make the table of row maxima (``interval_max`` of each
+coefficient dict of the canonical rows, once per dict, as aligned disjuncts
+share them), let the pass write its rows and add the exclusive-or row over
+the indicators.
 
 No pass writes a disjunct row that the variable boxes already imply, that is
-a row ``a^T x <= rhs`` with ``rhs >= interval_max(a)``: such a row cuts
-nothing from any pass's LP relaxation (see each pass).  Aligned disjuncts
-carry many of them.  Rows implied only by other rows of the disjunct are
-still written.
+a row ``a^T x <= rhs`` with ``rhs >= interval_max(a)``, read from the table:
+such a row cuts nothing from any pass's LP relaxation (see each pass).
+Aligned disjuncts carry many of them.  Rows implied only by other rows of
+the disjunct are still written.
 
 ``align_model`` brings every disjunction of a model to the shared-coefficient
 form: every disjunct gets every row of its disjunction plus ``±x_v`` for each
@@ -105,28 +107,12 @@ def big_m_bound(row: LinRow, boxes: Boxes) -> float:
     return interval_max(row.coeffs, boxes) - row.rhs
 
 
-def _interval_maxima(canon: Sequence[Sequence[LinRow]], boxes: Boxes) -> Dict[int, float]:
-    """``interval_max`` of each coefficient dict of a disjunction's rows,
-    keyed by the dict's ``id``: aligned disjuncts share one dict per row, so
-    each is computed once per disjunction, not once per disjunct."""
-    tops: Dict[int, float] = {}
-    for rows in canon:
-        for r in rows:
-            if id(r.coeffs) not in tops:
-                tops[id(r.coeffs)] = interval_max(r.coeffs, boxes)
-    return tops
-
-
 def _with_nonzero(coeffs: Dict[int, float], col: int, a: float) -> Dict[int, float]:
     """``coeffs`` with the coefficient ``a`` on ``col`` unless ``a`` is
     zero: no pass writes a zero coefficient."""
     if a != 0.0:
         coeffs[col] = a
     return coeffs
-
-
-def _coeff_key(row: LinRow) -> tuple:
-    return tuple(sorted(row.coeffs.items()))
 
 
 def shared_lhs(disjunction: Disjunction) -> bool:
@@ -139,9 +125,10 @@ def shared_lhs(disjunction: Disjunction) -> bool:
 
 
 def _same_lhs(canon: Sequence[Sequence[LinRow]]) -> bool:
-    """True iff all disjuncts' canonical rows have the same coefficient vectors."""
-    first = [_coeff_key(r) for r in canon[0]]
-    return all([_coeff_key(r) for r in rows] == first for rows in canon[1:])
+    """True iff all disjuncts' canonical rows have the same coefficient
+    vectors; canonical rows are sorted by them, so the dicts compare in order."""
+    first = [r.coeffs for r in canon[0]]
+    return all([r.coeffs for r in rows] == first for rows in canon[1:])
 
 
 def _difference_form(
@@ -212,7 +199,7 @@ class _Layout(NamedTuple):
 
     keys: Tuple[tuple, ...]  # the shared keys over variables 0..n-1, sorted
     coef: np.ndarray  # (Q, n): the coefficients of each key
-    own: Tuple[np.ndarray, ...]  # per key of a disjunct: disjunct, key column, its first row
+    own: Tuple[np.ndarray, ...]  # per row of the shape: its disjunct and key column
     cells: np.ndarray  # (E, 4): disjunct, nodes a and b, scale t of each difference row
     cell_rows: np.ndarray  # (E,): the rows of the shape that cells describes
     diff: Tuple[np.ndarray, ...]  # per difference key: its column, nodes a and b, scale t
@@ -229,11 +216,6 @@ def _layout(shape: tuple) -> _Layout:
     col = {k: q for q, k in enumerate(keys)}
     # each row of the shape, across its disjuncts: its disjunct and key column
     rows = [(j, col[k]) for j, ks in enumerate(row_keys) for k in ks]
-    # A disjunct's canonical rows are sorted by key, then right-hand side,
-    # so the first row of a key has its smallest right-hand side.
-    first: Dict[Tuple[int, int], int] = {}
-    for i, jq in enumerate(rows):
-        first.setdefault(jq, i)
     coef = np.zeros((len(keys), n))
     for q, key in enumerate(keys):
         for i, a in key:
@@ -246,7 +228,7 @@ def _layout(shape: tuple) -> _Layout:
             a, b, t = form
             cell[q] = (n if a is None else a, n if b is None else b, t)
     e = [i for i, (_, q) in enumerate(rows) if q in cell]
-    own = np.array([jq + (i,) for jq, i in first.items()], dtype=np.intp).reshape(-1, 3).T
+    own = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     diff = np.array([(q,) + c for q, c in cell.items()]).reshape(-1, 4).T
     layout = _Layout(
         keys,
@@ -289,9 +271,9 @@ def _align_shape(
     q, a, b, t = lay.diff
     bound[:, :, q] = t * d[:, :, a, b]
     bound = np.where(empty[:, :, None], tops[:, None, :], bound)
+    # a disjunct's own right-hand side of a key: the smallest of its rows'
     own = np.full((K, J, Q), math.inf)
-    j, q, i = lay.own
-    own[:, j, q] = rhs[:, i]
+    np.minimum.at(own, (slice(None), *lay.own), rhs)
     # "+ 0.0" turns a -0.0 bound into 0.0
     return lay.keys, np.minimum(own, bound) + 0.0, empty
 
@@ -383,11 +365,13 @@ def _reject_invalid(model: GdpModel) -> None:
 
 def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpModel:
     """The loop every pass shares (see the module docstring).  For each
-    disjunction, ``emit(b, tag, canon, ys)`` gets the MILP being built, the
-    disjunction's tag, each disjunct's canonical rows and indicator column.
+    disjunction, ``emit(b, tag, canon, tops, ys)`` gets the MILP being
+    built, the disjunction's tag, each disjunct's canonical rows, the row
+    maxima ``tops[id(coeffs)]`` and each disjunct's indicator column.
     Global and logic rows are written with float, nonzero coefficients, as
     the passes write theirs."""
     _reject_invalid(model)
+    boxes = model.boxes()
     b = MilpModel(name=f"{model.name or 'model'}_{pass_name}")
     for v in model.vars:
         b.add_cont(v.name, v.lower, v.upper)
@@ -402,8 +386,13 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpMo
     for k, disj in enumerate(model.disjunctions):
         tag = f"d{k}" + (f"({disj.label})" if disj.label else "")
         canon = [canonicalize_rows(d).rows for d in disj.disjuncts]
+        tops: Dict[int, float] = {}
+        for rows in canon:
+            for r in rows:
+                if id(r.coeffs) not in tops:
+                    tops[id(r.coeffs)] = interval_max(r.coeffs, boxes)
         ys = [ymap[d.indicator] for d in disj.disjuncts]
-        emit(b, tag, canon, ys)
+        emit(b, tag, canon, tops, ys)
         b.add_row(dict.fromkeys(ys, 1.0), EQ, 1.0, f"{pass_name}:{tag}:xor")
     return b
 
@@ -417,10 +406,7 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     holds everywhere in the box and is not written.  No continuous
     variables are added.
     """
-    boxes = model.boxes()
-
-    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
-        tops = _interval_maxima(canon, boxes)
+    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], tops: Dict[int, float], ys: List[int]) -> None:
         for j, (rows, y) in enumerate(zip(canon, ys)):
             for ri, row in enumerate(rows):
                 m = tops[id(row.coeffs)] - row.rhs  # big_m_bound(row, boxes)
@@ -451,10 +437,7 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     disjunction it is still the convex hull of the box-clipped disjuncts
     (Balas 1998).
     """
-    boxes = model.boxes()
-
-    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
-        tops = _interval_maxima(canon, boxes)
+    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], tops: Dict[int, float], ys: List[int]) -> None:
         copies: List[Dict[int, int]] = []  # per disjunct: variable -> its copy
         for j, (rows, y) in enumerate(zip(canon, ys)):
             written = [(ri, r) for ri, r in enumerate(rows) if r.rhs < tops[id(r.coeffs)]]
@@ -519,15 +502,13 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     ``reformulate_rhr(align_model(model))`` closes the gap with about 17%
     more rows (35 -> 41 at seven jobs).
     """
-    boxes = model.boxes()
-
-    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], ys: List[int]) -> None:
+    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], tops: Dict[int, float], ys: List[int]) -> None:
         if not _same_lhs(canon):
             raise SharedLhsViolation(
                 f"disjunction {tag} does not share a left-hand side; align it first"
             )
         for ri, row in enumerate(canon[0]):
-            top = interval_max(row.coeffs, boxes)
+            top = tops[id(row.coeffs)]
             if all(rows[ri].rhs >= top for rows in canon):
                 continue
             coeffs = dict(row.coeffs)

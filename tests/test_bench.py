@@ -82,6 +82,32 @@ def test_load_rejects_non_finite_strip_field(tmp_path, text, where):
         load_instance(path)
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([{"p": 1, "r": 0, "d": 5}], "top level must be an object"),
+        ({"jobs": [{"p": "2", "r": 0, "d": 5}]}, "job 0: field 'p' must be a number"),
+        ({"jobs": [{"p": 2, "r": 0, "d": True}]}, "job 0: field 'd' must be a number"),
+        ({"W": "5", "rects": [{"L": 3, "H": 2}]}, "strip: field 'W' must be a number"),
+        ({"W": 5, "rects": [{"L": 3, "H": False}]}, "rectangle 0: field 'H' must be a number"),
+        ({"jobs": []}, "'jobs' must be a nonempty list"),
+        ({"jobs": {"p": 2, "r": 0, "d": 5}}, "'jobs' must be a nonempty list"),
+        ({"W": 5, "rects": []}, "'rects' must be a nonempty list"),
+        ({"W": 5, "rects": "3x2"}, "'rects' must be a nonempty list"),
+        ({"jobs": [{"p": 2, "r": 0, "d": 5}, [2, 0, 5]]}, "job 1: must be an object"),
+        ({"W": 5, "rects": [3, 2]}, "rectangle 0: must be an object"),
+        ({"W": 5, "rects": [{"L": 3, "H": 2}, {"L": 1, "H": 6}]},
+         "rectangle 1: height 6.0 exceeds strip width 5.0"),
+    ],
+)
+def test_load_rejects_malformed_instances_by_field(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_save_load_round_trip(tmp_path):
     inst = gen_scheduling(4, 3)
     save_instance(inst, tmp_path / "s.json")

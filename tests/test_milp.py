@@ -199,6 +199,21 @@ def test_bb_determinism():
     assert np.array_equal(a.x, b.x)
 
 
+def test_bb_stops_at_a_loose_gap():
+    """With ``rel_gap`` below the root gap, the search branches until the
+    gap closes to ``rel_gap`` and stops there, before proving optimality."""
+    milp = reformulate_bigm(build_gp(gen_scheduling(5, 2)))
+    exact = solve_bb(milp, BBConfig(rel_gap=0.0))
+    root = solve_lp(milp).objective
+    assert exact.status == "optimal" and (exact.objective - root) / exact.objective > 0.1
+    res = solve_bb(milp, BBConfig(rel_gap=0.1))
+    assert res.status == "gap_limit"
+    assert 0.0 < res.gap <= 0.1
+    assert res.gap == pytest.approx((res.objective - res.bound) / abs(res.objective))
+    assert root <= res.bound <= exact.objective <= res.objective
+    assert res.nodes < exact.nodes
+
+
 def test_bb_bound_monotone_and_below_incumbent():
     # Runs with a growing node limit are prefixes of one deterministic search.
     milp = reformulate_bigm(build_gp(gen_scheduling(6, 3)))

@@ -20,6 +20,7 @@ from gldp import (
     check_assignment,
     gen_scheduling,
     gen_strip,
+    reformulate_bigm,
     validate,
 )
 from gldp.model import _bulk_valid, _diagnose
@@ -203,6 +204,13 @@ BREAKS = {
     "logic-sense": lambda m: replace(m, logic=m.logic + [LinRow({0: 1}, 1, ">=")]),
     "duplicate-name": lambda m: replace(m, bools=[m.bools[1]] + m.bools[1:]),
     "duplicate-var-name": lambda m: replace(m, vars=[replace(m.vars[0], name=m.bools[0])] + m.vars[1:]),
+    "disjunct-coeffs-list": lambda m: with_disjunct_row(m, lambda r: LinRow(list(r.coeffs.items()), r.rhs)),
+    "global-coeffs-list": lambda m: with_global_row(m, lambda r: LinRow(list(r.coeffs.items()), r.rhs)),
+    "logic-coeffs-list": lambda m: replace(m, logic=m.logic + [LinRow([(0, 1)], 1, LE)]),
+    "objective-list": lambda m: replace(m, objective=list(m.objective.items())),
+    "var-name-unhashable": lambda m: replace(m, vars=[replace(m.vars[0], name=["x"])] + m.vars[1:]),
+    "var-name-int": lambda m: replace(m, vars=[replace(m.vars[0], name=0)] + m.vars[1:]),
+    "indicator-name-unhashable": lambda m: replace(m, bools=[["y"]] + m.bools[1:]),
 }
 # What the row-by-row walk accepts; the bulk check takes only "valid" and "logic-1.0".
 VALID_BREAKS = {"valid", "objective-fraction", "index-bool", "indicator-bool", "logic-1.0"} | {
@@ -226,6 +234,31 @@ def test_bulk_validation_gives_the_messages_of_the_walk(concept, inst, brk, monk
     diags = validate(m)
     assert diags == walked
     assert (diags == []) == (brk in VALID_BREAKS)
+
+
+@pytest.mark.parametrize("brk", sorted(set(BREAKS) - VALID_BREAKS))
+def test_a_pass_rejects_every_broken_model_with_a_value_error(brk):
+    m = BREAKS[brk](build_model(gen_scheduling(4, 1), "GP_S"))
+    with pytest.raises(ValueError, match="^invalid model: "):
+        reformulate_bigm(m)
+
+
+def test_malformed_containers_and_names_are_reported_by_field():
+    bad = tiny_model(
+        vars=[ContinuousVar(["x"], 0.0, 10.0), ContinuousVar("z", 0.0, 5.0)],
+        bools=["y1", {"y2"}],
+        objective=[(0, 1.0)],
+        global_rows=[LinRow([(0, 1.0)], 12.0)],
+        logic=[LinRow(None, 1, LE)],
+    )
+    assert _bulk_valid(bad) is False
+    assert validate(bad) == [
+        "global row 0: coefficients are not a dict",
+        "logic row 0: coefficients are not a dict",
+        "objective: not a dict",
+        "variable 0: name ['x'] is not a string",
+        "indicator 1: name {'y2'} is not a string",
+    ]
 
 
 def test_canonicalize_flips_ge_rows():

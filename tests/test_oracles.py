@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gldp import (
+    EQ,
     Disjunct,
     Disjunction,
     Job,
@@ -149,6 +150,30 @@ def test_hull_oracle_single_disjunct_degenerate():
     res = hull_oracle_1d2d(disj, {0: (0.0, 10.0)}, resolution=100)
     xs = res.axes[0]
     assert np.array_equal(res.mask, (xs >= 1.0 - 1e-9) & (xs <= 4.0 + 1e-9))
+
+
+def point(ind, x, y):
+    return Disjunct(ind, [LinRow({0: 1.0}, x, EQ), LinRow({1: 1.0}, y, EQ)])
+
+
+@pytest.mark.parametrize(
+    "disjuncts, cells",
+    [
+        # the same point twice: a hull of one point
+        ([point(0, 1.0, 1.0), point(1, 1.0, 1.0)], [(1, 1)]),
+        # two points: a diagonal segment
+        ([point(0, 1.0, 1.0), point(1, 3.0, 3.0)], [(1, 1), (2, 2), (3, 3)]),
+        # a point and the segment x = 1, y <= 2: a segment along the y axis
+        ([point(0, 1.0, 4.0), Disjunct(1, [LinRow({0: 1.0}, 1.0, EQ), LinRow({1: 1.0}, 2.0)])],
+         [(1, y) for y in range(5)]),
+    ],
+    ids=["point", "diagonal", "vertical"],
+)
+def test_hull_oracle_of_a_point_or_a_segment(disjuncts, cells):
+    """A hull of fewer than three vertices holds exactly the grid cells on
+    it (cell width 1 over the box [0, 4]^2)."""
+    res = hull_oracle_1d2d(Disjunction(disjuncts), {0: (0.0, 4.0), 1: (0.0, 4.0)}, resolution=4)
+    assert sorted(map(tuple, np.argwhere(res.mask).tolist())) == cells
 
 
 def two_squares():

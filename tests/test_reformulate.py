@@ -197,6 +197,11 @@ def test_shared_lhs_examples():
     succ = [d for d in ip.disjunctions if d.label.startswith("succ")]
     assert succ and all(not shared_lhs(d) for d in succ)
     assert not shared_lhs(interval_union_model().disjunctions[0])
+    # compared after canonicalization: row order, key order and sense do not matter
+    a = Disjunct(0, [LinRow({0: 1.0, 1: -1.0}, 2.0), LinRow({1: 1.0}, 3.0)])
+    b = Disjunct(1, [LinRow({1: -1.0}, -4.0, ">="), LinRow({1: -1.0, 0: 1.0}, -1.0)])
+    c = Disjunct(1, [LinRow({1: 1.0}, 4.0), LinRow({1: -1.0, 0: 2.0}, -1.0)])
+    assert shared_lhs(Disjunction([a, b])) and not shared_lhs(Disjunction([a, c]))
 
 
 def test_align_interval_union():
@@ -712,13 +717,13 @@ def reference_lowering(model, reform):
     row, the ones the boxes imply too."""
     boxes = model.boxes()
 
-    def bigm(b, tag, canon, ys):
+    def bigm(b, tag, canon, tops, ys):
         for rows, y in zip(canon, ys):
             for row in rows:
                 m = max(0.0, big_m_bound(row, boxes))
                 b.add_row({**row.coeffs, y: m}, LE, row.rhs + m, f"bigm:{tag}")
 
-    def hull(b, tag, canon, ys):
+    def hull(b, tag, canon, tops, ys):
         dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
         agg = {v: {v: 1.0} for v in dvars}
         for j, (rows, y) in enumerate(zip(canon, ys)):
@@ -735,7 +740,7 @@ def reference_lowering(model, reform):
         for coeffs in agg.values():
             b.add_row(coeffs, EQ, 0.0, f"hull:{tag}")
 
-    def rhr(b, tag, canon, ys):
+    def rhr(b, tag, canon, tops, ys):
         for ri, row in enumerate(canon[0]):
             coeffs = dict(row.coeffs)
             coeffs.update((y, -rows[ri].rhs) for rows, y in zip(canon, ys))
