@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .model import MilpModel, row_range
+from .model import MilpModel
 
 if TYPE_CHECKING:
     from scipy.optimize._highspy._core import HighsBasis
@@ -117,12 +117,8 @@ class LpEngine:
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
-        rows = model.rows
-        start = np.zeros(len(rows) + 1, dtype=np.int32)
-        np.cumsum(np.fromiter((len(r.coeffs) for r in rows), np.int32, len(rows)), out=start[1:])
-        nnz = int(start[-1])
-        ranges = itertools.chain.from_iterable(row_range(r.sense, r.rhs) for r in rows)
-        bounds = np.fromiter(ranges, float, 2 * len(rows)).reshape(-1, 2)
+        start, index, value, _, _ = model.row_arrays()
+        row_lower, row_upper = model.row_bounds()
         self.n = n
         self.lower = np.fromiter((v.lower for v in model.variables), float, n)
         self.upper = np.fromiter((v.upper for v in model.variables), float, n)
@@ -141,24 +137,19 @@ class LpEngine:
         }
         lp = highs.HighsLp()
         lp.num_col_ = n
-        lp.num_row_ = len(rows)
+        lp.num_row_ = len(row_lower)
         cost = np.zeros(n)
-        for v, a in model.objective.items():
-            cost[v] = a
+        cost[list(model.objective)] = list(model.objective.values())
         lp.col_cost_ = cost
         lp.col_lower_ = self.lower
         lp.col_upper_ = self.upper
-        lp.row_lower_, lp.row_upper_ = bounds[:, 0], bounds[:, 1]
+        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
         lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
         lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = len(rows)
+        lp.a_matrix_.num_row_ = len(row_lower)
         lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = np.fromiter(
-            itertools.chain.from_iterable(r.coeffs for r in rows), np.int32, nnz
-        )
-        lp.a_matrix_.value_ = np.fromiter(
-            itertools.chain.from_iterable(r.coeffs.values() for r in rows), float, nnz
-        )
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         self.highs = highs._Highs()
         for key, value in LP_OPTIONS.items():
             self.highs.setOptionValue(key, value)
@@ -251,12 +242,15 @@ def solve_lp(model: MilpModel) -> LpResult:
 
 def max_violation(model: MilpModel, x: np.ndarray) -> float:
     """Largest constraint or box violation of a point (0 when feasible)."""
-    worst = 0.0
-    for i, v in enumerate(model.variables):
-        worst = max(worst, v.lower - x[i], x[i] - v.upper)
-    for r in model.rows:
-        worst = max(worst, r.violation(x))
-    return worst
+    x = np.asarray(x, dtype=float)
+    start, cols, vals, _, _ = model.row_arrays()
+    row_lower, row_upper = model.row_bounds()
+    rows = np.repeat(np.arange(len(row_lower)), np.diff(start))
+    activity = np.bincount(rows, vals * x[cols], minlength=len(row_lower))
+    lower = np.fromiter((v.lower for v in model.variables), float, len(model.variables))
+    upper = np.fromiter((v.upper for v in model.variables), float, len(model.variables))
+    gaps = (lower - x, x - upper, row_lower - activity, activity - row_upper)
+    return float(max([0.0] + [g.max() for g in gaps if g.size]))
 
 
 def _relative_gap(incumbent: float, bound: float) -> float:

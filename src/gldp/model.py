@@ -26,7 +26,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, le
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 LE = "<="
 GE = ">="
@@ -166,6 +168,17 @@ def _as_le_rows(row: LinRow) -> List[LinRow]:
     return rows
 
 
+def _canonical_entries(disjunct: Disjunct) -> List[Tuple[LinRow, int, int]]:
+    """The canonical rows of a disjunct (see :func:`canonicalize_rows`), each
+    with the index of the disjunct's row it comes from and its half: 1 for
+    the ``>=`` side of an equality, else 0."""
+    entries = [
+        (r, i, h) for i, row in enumerate(disjunct.rows) for h, r in enumerate(_as_le_rows(row))
+    ]
+    entries.sort(key=lambda e: _row_sort_key(e[0]))
+    return entries
+
+
 def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
     """Normalize a disjunct to ``<=``-only rows in a deterministic order.
 
@@ -174,11 +187,111 @@ def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
     by right-hand side.  The operation is idempotent and preserves the
     disjunct's feasible set.
     """
+    return Disjunct(disjunct.indicator, [r for r, _, _ in _canonical_entries(disjunct)])
+
+
+class CanonicalRows(NamedTuple):
+    """The canonical rows of a run of disjunctions (see
+    :func:`canonicalize_rows`), as CSR arrays, with where each row sits.
+
+    Row ``r`` reads ``sum(vals[p] * x[cols[p]]) <= rhs[r]`` over ``p`` in
+    ``start[r]:start[r + 1]``, with the coefficients in the order of the
+    canonical row's dict.  Disjunction ``k`` of the run holds rows
+    ``first[k]:first[k + 1]``, disjunct by disjunct, each disjunct's rows in
+    canonical order.  ``disjunct[r]`` is the row's disjunct in its
+    disjunction, ``source[r]`` the index of that disjunct's row it comes
+    from, and ``half[r]`` is true for the ``>=`` side of an equality.
+    Disjuncts are also numbered over the run: disjunction ``k`` has
+    disjuncts ``doff[k]:doff[k + 1]``, and disjunct ``g`` rows
+    ``rowoff[g]:rowoff[g + 1]``.
+    """
+
+    start: np.ndarray  # (R+1,)
+    cols: np.ndarray  # (nnz,)
+    vals: np.ndarray  # (nnz,)
+    rhs: np.ndarray  # (R,)
+    disjunct: np.ndarray  # (R,)
+    source: np.ndarray  # (R,)
+    half: np.ndarray  # (R,) bool
+    first: np.ndarray  # (K+1,)
+    k: np.ndarray  # (R,) each row's disjunction
+    gd: np.ndarray  # (R,) each row's disjunct, numbered over the run
+    dk: np.ndarray  # (G,) each disjunct's disjunction
+    doff: np.ndarray  # (K+1,)
+    rowoff: np.ndarray  # (G+1,)
+
+
+def canonical_rows(
+    start: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, disjunct: np.ndarray,
+    source: np.ndarray, half: np.ndarray, first: np.ndarray, counts: Sequence[int],
+) -> CanonicalRows:
+    """A :class:`CanonicalRows` of the given arrays, whose disjunctions have
+    ``counts`` disjuncts, with the index arrays computed."""
+    K = len(counts)
+    doff = np.zeros(K + 1, dtype=np.intp)
+    doff[1:] = np.cumsum(counts)
+    k = np.repeat(np.arange(K), first[1:] - first[:-1])
+    gd = doff[k] + disjunct
+    rowoff = np.zeros(doff[-1] + 1, dtype=np.intp)
+    rowoff[1:] = np.bincount(gd, minlength=doff[-1]).cumsum()
+    dk = np.repeat(np.arange(K), counts)
+    return CanonicalRows(start, cols, vals, rhs, disjunct, source, half, first, k, gd, dk, doff, rowoff)
+
+
+def _canonical_block(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
+    """The canonical rows of ``disjunctions``, made from their rows."""
     rows: List[LinRow] = []
-    for row in disjunct.rows:
-        rows.extend(_as_le_rows(row))
-    rows.sort(key=_row_sort_key)
-    return Disjunct(disjunct.indicator, rows)
+    tags: List[Tuple[int, int, int]] = []
+    first = [0]
+    for disj in disjunctions:
+        for j, d in enumerate(disj.disjuncts):
+            for r, i, h in _canonical_entries(d):
+                rows.append(r)
+                tags.append((j, i, h))
+        first.append(len(rows))
+    coeffs = list(map(attrgetter("coeffs"), rows))
+    start = np.zeros(len(rows) + 1, dtype=np.intp)
+    start[1:] = np.fromiter(map(len, coeffs), np.intp, len(rows)).cumsum()
+    j, i, h = np.array(tags, dtype=np.intp).reshape(-1, 3).T
+    return canonical_rows(
+        start,
+        np.fromiter(chain.from_iterable(coeffs), np.intp, start[-1]),
+        np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, start[-1]),
+        np.fromiter(map(attrgetter("rhs"), rows), float, len(rows)),
+        j,
+        i,
+        h.astype(bool),
+        np.array(first, dtype=np.intp),
+        [len(d.disjuncts) for d in disjunctions],
+    )
+
+
+def canonical_form(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
+    """The canonical rows of ``disjunctions``, in one block.
+
+    Each disjunction caches its form: the block it was made in and its
+    position there.  When the disjunctions are exactly one cached block, in
+    order, that block is returned as it is.  Otherwise the rows of all of
+    them are canonicalized in one batch, and the new block becomes their
+    cached form.  ``align_model`` sets the form of the disjunctions it
+    makes, so an aligned model is never canonicalized from its rows.
+    """
+    cached = [d.__dict__.get("_canonical") for d in disjunctions]
+    block = cached[0][0] if cached and cached[0] is not None else None
+    if block is not None and len(block.first) == len(cached) + 1 and all(
+        c is not None and c[0] is block and c[1] == k for k, c in enumerate(cached)
+    ):
+        return block
+    block = _canonical_block(disjunctions)
+    set_canonical_form(disjunctions, block)
+    return block
+
+
+def set_canonical_form(disjunctions: Sequence[Disjunction], block: CanonicalRows) -> None:
+    """Cache ``block`` as the canonical form of ``disjunctions``, which must
+    be its disjunctions in order."""
+    for k, d in enumerate(disjunctions):
+        d.__dict__["_canonical"] = (block, k)
 
 
 # Builtins first, so the common case skips the slower abstract-class check.
@@ -239,11 +352,22 @@ def _indices(values: List, size: int) -> bool:
 
 def _bulk_valid(model: GdpModel) -> bool:
     """True only when :func:`_diagnose` finds nothing (see :func:`validate`)."""
+    if not (
+        all(type(x) in (list, tuple) for x in (model.vars, model.bools, model.global_rows,
+                                                model.disjunctions, model.logic))
+        and set(map(type, model.vars)) <= {ContinuousVar}
+        and set(map(type, model.disjunctions)) <= {Disjunction}
+    ):
+        return False
     nv, nb = len(model.vars), len(model.bools)
     lowers = [v.lower for v in model.vars]
     uppers = [v.upper for v in model.vars]
     disjuncts = list(chain.from_iterable(d.disjuncts for d in model.disjunctions))
+    if not set(map(type, disjuncts)) <= {Disjunct}:
+        return False
     rows = list(chain(model.global_rows, chain.from_iterable(map(attrgetter("rows"), disjuncts))))
+    if not set(map(type, chain(rows, model.logic))) <= {LinRow}:
+        return False
     coeffs = list(map(attrgetter("coeffs"), rows))
     logic = list(map(attrgetter("coeffs"), model.logic))
     try:
@@ -253,6 +377,8 @@ def _bulk_valid(model: GdpModel) -> bool:
         return False
     if not (set(map(type, chain(coeffs, logic))) <= {dict} and type(model.objective) is dict):
         return False
+    # each dict once: the disjuncts of an aligned disjunction share theirs
+    coeffs = list({id(c): c for c in coeffs}.values())
     per_row = list(map(dict.values, coeffs))
     logic_values = list(chain.from_iterable(map(dict.values, logic)))
     logic_values += map(attrgetter("rhs"), model.logic)
@@ -282,9 +408,20 @@ def _bulk_valid(model: GdpModel) -> bool:
 def _diagnose(model: GdpModel) -> List[str]:
     """The row-by-row walk of :func:`validate`, which writes its messages."""
     diags: List[str] = []
-    nv, nb = len(model.vars), len(model.bools)
+    bools = model.bools
+    if not isinstance(bools, (list, tuple)):
+        diags.append("bools: not a list")
+        bools = []
+    nv, nb = len(model.vars), len(bools)
+
+    def typed(x, cls: type, where: str) -> bool:
+        if not isinstance(x, cls):
+            diags.append(f"{where}: {x!r} is not a {cls.__name__}")
+        return isinstance(x, cls)
 
     for i, v in enumerate(model.vars):
+        if not typed(v, ContinuousVar, f"variable {i}"):
+            continue
         if problem := _not_finite(v.lower) or _not_finite(v.upper):
             diags.append(f"variable {i} ({v.name}): box bound is {problem}")
         elif v.lower > v.upper:
@@ -296,11 +433,13 @@ def _diagnose(model: GdpModel) -> List[str]:
         return coeffs.items() if isinstance(coeffs, dict) else ()
 
     def check_row(row: LinRow, where: str) -> None:
+        if not typed(row, LinRow, where):
+            return
         if row.sense not in SENSES:
             diags.append(f"{where}: unknown sense {row.sense!r}")
         if not isinstance(row.coeffs, dict):
             diags.append(f"{where}: coefficients are not a dict")
-        elif not row.coeffs or all(a == 0.0 for a in row.coeffs.values()):
+        elif not any(_not_finite(a) or a != 0.0 for a in row.coeffs.values()):
             diags.append(f"{where}: row has no nonzero coefficient")
         for v, a in items(row.coeffs):
             if not isinstance(v, int) or not 0 <= v < nv:
@@ -314,11 +453,15 @@ def _diagnose(model: GdpModel) -> List[str]:
         check_row(row, f"global row {gi}")
 
     for k, disj in enumerate(model.disjunctions):
+        if not typed(disj, Disjunction, f"disjunction {k}"):
+            continue
         tag = f"disjunction {k}" + (f" ({disj.label})" if disj.label else "")
         if len(disj.disjuncts) < 2:
             diags.append(f"{tag}: needs at least two disjuncts")
         seen = set()
         for j, d in enumerate(disj.disjuncts):
+            if not typed(d, Disjunct, f"{tag}, disjunct {j}"):
+                continue
             if not isinstance(d.indicator, numbers.Integral) or not 0 <= d.indicator < nb:
                 diags.append(f"{tag}, disjunct {j}: undeclared indicator {d.indicator}")
             elif d.indicator in seen:
@@ -329,6 +472,8 @@ def _diagnose(model: GdpModel) -> List[str]:
                 check_row(row, f"{tag}, disjunct {j}, row {ri}")
 
     for li, lrow in enumerate(model.logic):
+        if not typed(lrow, LinRow, f"logic row {li}"):
+            continue
         if lrow.sense not in (LE, EQ):
             diags.append(f"logic row {li}: sense must be {LE} or {EQ}")
         if not isinstance(lrow.coeffs, dict):
@@ -349,8 +494,8 @@ def _diagnose(model: GdpModel) -> List[str]:
         if problem := _not_finite(a):
             diags.append(f"objective: coefficient on variable {v} is {problem}")
 
-    names = [(f"variable {i}", v.name) for i, v in enumerate(model.vars)]
-    names += [(f"indicator {b}", n) for b, n in enumerate(model.bools)]
+    names = [(f"variable {i}", v.name) for i, v in enumerate(model.vars) if isinstance(v, ContinuousVar)]
+    names += [(f"indicator {b}", n) for b, n in enumerate(bools)]
     diags += [f"{where}: name {n!r} is not a string" for where, n in names if not isinstance(n, str)]
     counts = Counter(n for _, n in names if isinstance(n, str))
     for n in sorted(n for n, c in counts.items() if c > 1):
@@ -405,18 +550,150 @@ class MilpVar:
     is_binary: bool = False
 
 
-@dataclass
+class RowStore:
+    """The rows of a :class:`MilpModel`, in one CSR store.
+
+    Row ``r`` has the column indices ``cols[start[r]:start[r + 1]]`` and the
+    coefficients ``vals`` at the same positions, in the order they were
+    written; its sense is ``senses[code[r]]``, its right-hand side
+    ``rhs[r]`` and its provenance ``provenance[r]``.  ``senses`` starts as
+    ``SENSES``; a row written with another sense appends it, so that a
+    solver can reject it.  Rows come one at a time (:meth:`add`) or as a
+    block of arrays (:meth:`add_block`); :meth:`arrays` joins them once, and
+    the joined arrays are read-only.
+    """
+
+    def __init__(self) -> None:
+        self.senses: List[str] = list(SENSES)
+        self.provenance: List[str] = []
+        self._joined = _frozen(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
+                               np.zeros(0, np.int8), np.zeros(0))
+        self._blocks: List[Tuple[np.ndarray, ...]] = []  # (lens, cols, vals, code, rhs), not yet joined
+        self._single: Tuple[List, ...] = ([], [], [], [], [])
+        self._view: Optional[Tuple[LinRow, ...]] = None
+
+    def __len__(self) -> int:
+        return len(self.provenance)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RowStore):
+            return NotImplemented
+        (*mine, code), (*theirs, other_code) = self.arrays()[:4], other.arrays()[:4]
+        return (
+            self.provenance == other.provenance
+            and all(map(np.array_equal, mine + [self.arrays()[4]], theirs + [other.arrays()[4]]))
+            and [self.senses[c] for c in code] == [other.senses[c] for c in other_code]
+        )
+
+    def copy(self) -> RowStore:
+        other = RowStore()
+        other.senses = list(self.senses)
+        other.provenance = list(self.provenance)
+        other._joined = self.arrays()
+        return other
+
+    def add(self, coeffs: Mapping[int, float], sense: str, rhs: float, provenance: str) -> None:
+        if sense not in self.senses:
+            self.senses.append(sense)
+        lens, cols, vals, code, rhss = self._single
+        lens.append(len(coeffs))
+        cols.extend(coeffs)
+        vals.extend(coeffs.values())
+        code.append(self.senses.index(sense))
+        rhss.append(rhs)
+        self.provenance.append(provenance)
+        self._view = None
+
+    def add_block(self, lens: np.ndarray, cols: np.ndarray, vals: np.ndarray, code: np.ndarray,
+                  rhs: np.ndarray, provenance: List[str]) -> None:
+        """Append rows with ``lens[r]`` coefficients each, read in turn from
+        ``cols`` and ``vals``, and sense codes into ``SENSES``."""
+        self._flush()
+        self._blocks.append((lens, cols, vals, code, rhs))
+        self.provenance += provenance
+        self._view = None
+
+    def _flush(self) -> None:
+        if self._single[0]:
+            self._blocks.append(tuple(map(np.array, self._single)))
+            self._single = ([], [], [], [], [])
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, cols, vals, code, rhs)`` of every row: ``int32`` row
+        starts and column indices, ``float64`` coefficients and right-hand
+        sides, ``int8`` sense codes."""
+        self._flush()
+        if self._blocks:
+            start, *rest = self._joined
+            blocks = [(np.diff(start), *rest)] + self._blocks
+            lens, cols, vals, code, rhs = (np.concatenate([b[f] for b in blocks]) for f in range(5))
+            start = np.zeros(len(lens) + 1, dtype=np.int32)
+            np.cumsum(lens, out=start[1:])
+            self._joined = _frozen(start, cols.astype(np.int32), vals.astype(float),
+                                   code.astype(np.int8), rhs.astype(float))
+            self._blocks = []
+        return self._joined
+
+    def view(self) -> Tuple[LinRow, ...]:
+        """Every row as a :class:`LinRow`, built on the first call after a
+        change."""
+        if self._view is None:
+            start, cols, vals, code, rhs = self.arrays()
+            st, cl, vl = start.tolist(), cols.tolist(), vals.tolist()
+            self._view = tuple(map(
+                LinRow,
+                [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(st, st[1:])],
+                rhs.tolist(),
+                [self.senses[c] for c in code.tolist()],
+                self.provenance,
+            ))
+        return self._view
+
+
+def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass(init=False)
 class MilpModel:
     """A flat mixed-integer linear program (minimization).
 
     A pass starts from an empty model and fills it with :meth:`add_cont`,
-    :meth:`add_bin` and :meth:`add_row`.
+    :meth:`add_bin`, :meth:`add_row` and :meth:`add_rows`.  The rows live in
+    one :class:`RowStore`; :attr:`rows` is a read-only view of them as
+    :class:`LinRow` objects, built on demand.  ``rows`` given to the
+    constructor are appended to ``store``, which is copied.
     """
 
-    variables: List[MilpVar] = field(default_factory=list)
-    rows: List[LinRow] = field(default_factory=list)
-    objective: Dict[int, float] = field(default_factory=dict)
-    name: str = ""
+    variables: List[MilpVar]
+    objective: Dict[int, float]
+    name: str
+    store: RowStore
+
+    def __init__(
+        self,
+        variables: Optional[List[MilpVar]] = None,
+        rows: Iterable[LinRow] = (),
+        objective: Optional[Dict[int, float]] = None,
+        name: str = "",
+        store: Optional[RowStore] = None,
+    ):
+        self.variables = [] if variables is None else variables
+        self.objective = {} if objective is None else objective
+        self.name = name
+        self.store = RowStore() if store is None else store.copy()
+        for r in rows:
+            self.add_row(r.coeffs, r.sense, r.rhs, r.provenance)
+
+    @property
+    def rows(self) -> Tuple[LinRow, ...]:
+        return self.store.view()
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.store)
 
     def add_cont(self, name: str, lower: float, upper: float) -> int:
         self.variables.append(MilpVar(name, float(lower), float(upper), False))
@@ -426,10 +703,28 @@ class MilpModel:
         self.variables.append(MilpVar(name, 0.0, 1.0, True))
         return len(self.variables) - 1
 
-    def add_row(self, coeffs: Dict[int, float], sense: str, rhs: float, provenance: str) -> None:
-        """Append a row.  ``coeffs`` is stored as given, not copied: it must
-        hold float, nonzero coefficients and ``rhs`` must be a float."""
-        self.rows.append(LinRow(coeffs, rhs, sense, provenance))
+    def add_row(self, coeffs: Mapping[int, float], sense: str, rhs: float, provenance: str) -> None:
+        """Append a row; ``coeffs`` must hold float, nonzero coefficients
+        and ``rhs`` must be a float."""
+        self.store.add(coeffs, sense, rhs, provenance)
+
+    def add_rows(self, lens: np.ndarray, cols: np.ndarray, vals: np.ndarray, code: np.ndarray,
+                 rhs: np.ndarray, provenance: List[str]) -> None:
+        """Append a block of rows (see :meth:`RowStore.add_block`)."""
+        self.store.add_block(lens, cols, vals, code, rhs, provenance)
+
+    def row_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(start, cols, vals, code, rhs)`` of the rows (see :class:`RowStore`)."""
+        return self.store.arrays()
+
+    def row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The interval ``(lower, upper)`` that each row's activity must lie
+        in, by :func:`row_range`; a row of unknown sense raises ``ValueError``."""
+        _, _, _, code, rhs = self.store.arrays()
+        # the meaning of each sense, from row_range: which side is rhs, which infinite
+        sides = np.array([row_range(self.store.senses[c], 0.0) for c in range(code.max(initial=-1) + 1)])
+        sides = sides.reshape(-1, 2)[code]
+        return np.where(np.isinf(sides[:, 0]), sides[:, 0], rhs), np.where(np.isinf(sides[:, 1]), sides[:, 1], rhs)
 
     @property
     def binary_indices(self) -> List[int]:
@@ -444,15 +739,14 @@ class MilpModel:
         return sum(1 for v in self.variables if v.is_binary)
 
     def stats(self) -> Dict[str, int]:
-        by_sense = {LE: 0, GE: 0, EQ: 0}
-        for r in self.rows:
-            by_sense[r.sense] += 1
+        start, _, _, code, _ = self.store.arrays()
+        by_sense = np.bincount(code, minlength=len(SENSES)).tolist()
         return {
             "continuous": self.num_continuous,
             "binary": self.num_binary,
-            "rows": len(self.rows),
-            "rows_le": by_sense[LE],
-            "rows_ge": by_sense[GE],
-            "rows_eq": by_sense[EQ],
-            "nonzeros": sum(len(r.coeffs) for r in self.rows),
+            "rows": self.num_rows,
+            "rows_le": by_sense[SENSES.index(LE)],
+            "rows_ge": by_sense[SENSES.index(GE)],
+            "rows_eq": by_sense[SENSES.index(EQ)],
+            "nonzeros": int(start[-1]),
         }

@@ -13,6 +13,8 @@ import re
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
+import numpy as np
+
 from .model import EQ, GE, LE, MilpModel
 
 _SENSE_TO_ROW = {LE: "L", GE: "G", EQ: "E"}
@@ -38,18 +40,21 @@ def _sanitized_names(model: MilpModel) -> List[str]:
 def to_mps_string(model: MilpModel) -> str:
     """Render the model as free-format MPS text."""
     names = _sanitized_names(model)
+    start, cols, vals, code, rhs = model.row_arrays()
+    kinds = [_SENSE_TO_ROW[s] for s in model.store.senses[: code.max(initial=-1) + 1]]
     lines: List[str] = [f"NAME          {model.name or 'GLDP'}"]
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    for ri, row in enumerate(model.rows):
-        lines.append(f" {_SENSE_TO_ROW[row.sense]}  R{ri}")
+    lines += [f" {kinds[c]}  R{ri}" for ri, c in enumerate(code.tolist())]
 
+    # each column's entries in row order, after its objective entry
     per_col: Dict[int, List[Tuple[str, float]]] = {i: [] for i in range(len(model.variables))}
     for v, a in model.objective.items():
         per_col[v].append(("OBJ", a))
-    for ri, row in enumerate(model.rows):
-        for v, a in row.coeffs.items():
-            per_col[v].append((f"R{ri}", a))
+    rows = np.repeat(np.arange(len(code)), np.diff(start))
+    order = np.argsort(cols, kind="stable")
+    for v, ri, a in zip(cols[order].tolist(), rows[order].tolist(), vals[order].tolist()):
+        per_col[v].append((f"R{ri}", a))
 
     lines.append("COLUMNS")
     in_block = False
@@ -63,8 +68,7 @@ def to_mps_string(model: MilpModel) -> str:
         lines.append(_MARKER + "'INTEND'")
 
     lines.append("RHS")
-    for ri, row in enumerate(model.rows):
-        lines.append(f"    RHS  R{ri}  {_num(row.rhs)}")
+    lines += [f"    RHS  R{ri}  {_num(b)}" for ri, b in enumerate(rhs.tolist())]
 
     lines.append("BOUNDS")
     for i, var in enumerate(model.variables):

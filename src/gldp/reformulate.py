@@ -66,12 +66,19 @@ import numpy as np
 from .model import (
     EQ,
     LE,
+    SENSES,
+    CanonicalRows,
     Disjunct,
     Disjunction,
     GdpModel,
     LinRow,
     MilpModel,
+    MilpVar,
+    _canonical_block,
+    canonical_form,
+    canonical_rows,
     canonicalize_rows,
+    set_canonical_form,
     validate,
 )
 
@@ -105,30 +112,6 @@ def big_m_bound(row: LinRow, boxes: Boxes) -> float:
     if row.sense != LE:
         raise ValueError("big_m_bound expects a canonical <= row")
     return interval_max(row.coeffs, boxes) - row.rhs
-
-
-def _with_nonzero(coeffs: Dict[int, float], col: int, a: float) -> Dict[int, float]:
-    """``coeffs`` with the coefficient ``a`` on ``col`` unless ``a`` is
-    zero: no pass writes a zero coefficient."""
-    if a != 0.0:
-        coeffs[col] = a
-    return coeffs
-
-
-def shared_lhs(disjunction: Disjunction) -> bool:
-    """True iff all disjuncts carry identical coefficient matrices.
-
-    Rows are canonicalized first; the comparison is positional and requires
-    exact coefficient equality (no rescaling detection).
-    """
-    return _same_lhs([canonicalize_rows(d).rows for d in disjunction.disjuncts])
-
-
-def _same_lhs(canon: Sequence[Sequence[LinRow]]) -> bool:
-    """True iff all disjuncts' canonical rows have the same coefficient
-    vectors; canonical rows are sorted by them, so the dicts compare in order."""
-    first = [r.coeffs for r in canon[0]]
-    return all([r.coeffs for r in rows] == first for rows in canon[1:])
 
 
 def _difference_form(
@@ -203,6 +186,7 @@ class _Layout(NamedTuple):
     cells: np.ndarray  # (E, 4): disjunct, nodes a and b, scale t of each difference row
     cell_rows: np.ndarray  # (E,): the rows of the shape that cells describes
     diff: Tuple[np.ndarray, ...]  # per difference key: its column, nodes a and b, scale t
+    entries: Tuple[np.ndarray, ...]  # the keys in CSR: (Q+1,) starts, variables and coefficients
 
 
 @functools.lru_cache(maxsize=256)
@@ -230,6 +214,9 @@ def _layout(shape: tuple) -> _Layout:
     e = [i for i, (_, q) in enumerate(rows) if q in cell]
     own = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     diff = np.array([(q,) + c for q, c in cell.items()]).reshape(-1, 4).T
+    kstart = np.zeros(len(keys) + 1, dtype=np.intp)
+    np.cumsum([len(key) for key in keys], out=kstart[1:])
+    items = np.array([item for key in keys for item in key]).reshape(-1, 2)
     layout = _Layout(
         keys,
         coef,
@@ -237,21 +224,23 @@ def _layout(shape: tuple) -> _Layout:
         np.array([(rows[i][0],) + cell[rows[i][1]] for i in e]).reshape(-1, 4),
         np.array(e, dtype=np.intp),
         tuple(diff[:3].astype(np.intp)) + (diff[3],),
+        (kstart, items[:, 0].astype(np.intp), items[:, 1]),
     )
-    for x in (layout.coef, layout.cells, layout.cell_rows, *layout.own, *layout.diff):
+    for x in (layout.coef, layout.cells, layout.cell_rows, *layout.own, *layout.diff, *layout.entries):
         x.flags.writeable = False
     return layout
 
 
 def _align_shape(
     shape: tuple, members: Sequence[Tuple[List[int], List[Sequence[LinRow]]]], lo: np.ndarray, hi: np.ndarray
-) -> Tuple[Tuple[tuple, ...], np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support values of a stack of disjunctions of one shape.
 
     ``members`` holds each disjunction's sorted variables and canonical
-    rows.  Returns the shared keys over variables ``0..n-1`` in sorted
-    order, the ``(K, J, Q)`` right-hand sides of each disjunct's shared rows
-    and the ``(K, J)`` mask of empty disjuncts.
+    rows.  Returns the ``(K, J, Q)`` right-hand sides of each disjunct's
+    rows over the shape's keys (``_layout(shape).keys``), the ``(K, J)``
+    mask of empty disjuncts and the ``(K, Q)`` mask of the keys that some
+    disjunct's right-hand side cuts below the key's interval maximum.
     """
     lay = _layout(shape)
     n, J, Q, K = shape[0], len(shape) - 1, len(lay.keys), len(members)
@@ -275,7 +264,8 @@ def _align_shape(
     own = np.full((K, J, Q), math.inf)
     np.minimum.at(own, (slice(None), *lay.own), rhs)
     # "+ 0.0" turns a -0.0 bound into 0.0
-    return lay.keys, np.minimum(own, bound) + 0.0, empty
+    support = np.minimum(own, bound) + 0.0
+    return support, empty, (support < tops[:, None, :]).any(axis=1)
 
 
 def align_model(model: GdpModel) -> GdpModel:
@@ -284,17 +274,19 @@ def align_model(model: GdpModel) -> GdpModel:
 
     A disjunction's shared matrix holds every coefficient vector found in
     any of its disjuncts, plus ``+x_v`` and ``-x_v`` for every variable of
-    the disjunction.  Each disjunct ``D_j`` receives every row with
-    right-hand side ``max{a^T x : x in B ∩ D_j}`` (``B`` the box), computed
-    without an LP by a shortest-path closure over ``D_j``'s difference rows
-    (``x_a - x_b <= c`` and ``±x_a <= c``, up to a positive scale) and the
-    box.  The value is exact for difference rows when all of ``D_j``'s rows
-    are difference rows.  Rows of any other form get the smaller of the
-    disjunct's own right-hand side and the row's interval maximum over the
-    box; they are valid but carry no exactness guarantee, and neither do
-    difference rows in a disjunct that also has such rows.  A disjunction
-    that already shares a left-hand side is aligned too: its right-hand
-    sides need not be support values.
+    the disjunction, less the rows that the box implies in every disjunct
+    (``rhs >= interval_max(a)`` in each), which no pass writes.  Each
+    disjunct ``D_j`` receives every row with right-hand side ``max{a^T x :
+    x in B ∩ D_j}`` (``B`` the box), computed without an LP by a
+    shortest-path closure over ``D_j``'s difference rows (``x_a - x_b <=
+    c`` and ``±x_a <= c``, up to a positive scale) and the box.  The value
+    is exact for difference rows when all of ``D_j``'s rows are difference
+    rows.  Rows of any other form get the smaller of the disjunct's own
+    right-hand side and the row's interval maximum over the box; they are
+    valid but carry no exactness guarantee, and neither do difference rows
+    in a disjunct that also has such rows.  A disjunction that already
+    shares a left-hand side is aligned too: its right-hand sides need not
+    be support values.
 
     The work is batched by shape.  A disjunction's shape is its number of
     variables and its disjuncts' canonical row keys, with the variables
@@ -302,8 +294,11 @@ def align_model(model: GdpModel) -> GdpModel:
     order).  The disjunctions of one shape are stacked into one
     ``(K, J, n+1, n+1)`` array of difference bounds, with the boxes on a
     zero node, and one Floyd-Warshall pass closes the whole stack; every
-    support value is then read from it by array indexing.  Only the rows of
-    the result are built one by one.
+    support value is then read from it by array indexing.  The aligned
+    rows of the whole model are laid out as one block of canonical rows
+    (see ``gldp.model.CanonicalRows``), which becomes the aligned
+    disjunctions' cached canonical form; only the :class:`LinRow` objects
+    of the result are built one by one.
 
     When the closure finds ``B ∩ D_j`` empty, ``D_j`` keeps its own rows and
     gets interval maxima for the rest, and a logic row ``y_j <= 0`` fixes
@@ -331,27 +326,61 @@ def align_model(model: GdpModel) -> GdpModel:
         )
         shapes.setdefault(shape, []).append(k)
         parts.append((dvars, canon))
-    aligned: List[tuple] = [()] * len(parts)
+
+    # The kept rows of every shape, each disjunct's in key order: the
+    # disjunction, the disjunct, the rank among the disjunction's kept keys,
+    # the rhs, and the coefficients in CSR.
+    empty = [()] * len(parts)
+    blocks = []
     for shape, ks in shapes.items():
-        keys, rhs, empty = _align_shape(shape, [parts[k] for k in ks], lo, hi)
-        for k, kr, ke in zip(ks, rhs.tolist(), empty.tolist()):
-            aligned[k] = (keys, kr, ke)
+        lay = _layout(shape)
+        support, shape_empty, keep = _align_shape(shape, [parts[k] for k in ks], lo, hi)
+        for k, e in zip(ks, shape_empty.tolist()):
+            empty[k] = e
+        m, j, q = np.nonzero(np.broadcast_to(keep[:, None, :], support.shape))
+        kstart, kvar, kval = lay.entries
+        lens = kstart[q + 1] - kstart[q]
+        nz, at = _entries(kstart, q)
+        dv = np.array([parts[k][0] for k in ks], dtype=np.intp).reshape(len(ks), -1)
+        blocks.append((np.array(ks)[m], j, (np.cumsum(keep, axis=1) - 1)[m, q], support[m, j, q],
+                       lens, dv[m[at], kvar[nz]], kval[nz]))
+    kk, j, rank, rhs, lens, cols, vals = (
+        np.concatenate([b[f] for b in blocks]) if blocks else np.zeros(0, dtype=np.intp) for f in range(7)
+    )
+    # the rows in model order: by disjunction, the shape's order within one
+    order = kk.argsort(kind="stable")
+    start = np.zeros(len(order) + 1, dtype=np.intp)
+    start[1:] = lens[order].cumsum()
+    row_start = np.zeros(len(lens) + 1, dtype=np.intp)
+    row_start[1:] = lens.cumsum()
+    nz, _ = _entries(row_start, order)
+    first = np.zeros(len(parts) + 1, dtype=np.intp)
+    first[1:] = np.bincount(kk, minlength=len(parts)).cumsum()
+    form = canonical_rows(
+        start, cols[nz].astype(np.intp), vals[nz].astype(float), rhs[order].astype(float), j[order],
+        rank[order], np.zeros(len(order), dtype=bool), first, [len(d.disjuncts) for d in model.disjunctions],
+    )
 
     disjunctions: List[Disjunction] = []
     logic = list(model.logic)
     fixed = {y for r in logic for y in r.coeffs if r == LinRow({y: 1}, 0, LE)}
-    for disj, (dvars, _), (keys, rhs, empty) in zip(model.disjunctions, parts, aligned):
+    st, cl, vl, rl = form.start.tolist(), form.cols.tolist(), form.vals.tolist(), form.rhs.tolist()
+    fl = first.tolist()
+    for k, disj in enumerate(model.disjunctions):
+        r0 = fl[k]
+        nq = (fl[k + 1] - r0) // len(disj.disjuncts)
         # one coefficient dict per shared row, for every disjunct
-        coeffs = [{dvars[i]: a for i, a in key} for key in keys]
+        coeffs = [dict(zip(cl[st[r]:st[r + 1]], vl[st[r]:st[r + 1]])) for r in range(r0, r0 + nq)]
         disjunctions.append(Disjunction(
-            [Disjunct(d.indicator, [LinRow(c, b, LE) for c, b in zip(coeffs, rr)])
-             for d, rr in zip(disj.disjuncts, rhs)],
+            [Disjunct(d.indicator, map(LinRow, coeffs, rl[r0 + i * nq:r0 + (i + 1) * nq]))
+             for i, d in enumerate(disj.disjuncts)],
             disj.label,
         ))
         logic.extend(
             LinRow({d.indicator: 1}, 0, LE)
-            for d, e in zip(disj.disjuncts, empty) if e and d.indicator not in fixed
+            for d, e in zip(disj.disjuncts, empty[k]) if e and d.indicator not in fixed
         )
+    set_canonical_form(disjunctions, form)
     return replace(model, disjunctions=disjunctions, logic=logic)
 
 
@@ -363,15 +392,151 @@ def _reject_invalid(model: GdpModel) -> None:
         raise ValueError("invalid model: " + "; ".join(diags))
 
 
-def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpModel:
-    """The loop every pass shares (see the module docstring).  For each
-    disjunction, ``emit(b, tag, canon, tops, ys)`` gets the MILP being
-    built, the disjunction's tag, each disjunct's canonical rows, the row
-    maxima ``tops[id(coeffs)]`` and each disjunct's indicator column.
-    Global and logic rows are written with float, nonzero coefficients, as
-    the passes write theirs."""
+def _entries(start: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions of the entries of ``rows`` in a CSR with row starts
+    ``start``, row after row, and the index into ``rows`` of each."""
+    first = start[rows]
+    lens = start[rows + 1] - first
+    at = np.repeat(np.arange(len(rows)), lens)
+    return (first - lens.cumsum() + lens)[at] + np.arange(len(at)), at
+
+
+def _row_maxima(form: CanonicalRows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``interval_max`` of every row of ``form`` over the box ``[lo, hi]``,
+    each row's terms added one by one in coefficient order, as
+    ``interval_max`` adds them, so that the values are the same to the bit."""
+    start = form.start
+    terms = form.vals * np.where(form.vals > 0, hi[form.cols], lo[form.cols])
+    lens = start[1:] - start[:-1]
+    top = np.zeros(len(lens))
+    for p in range(lens.max(initial=0)):
+        rows = (lens > p).nonzero()[0]
+        top[rows] += terms[start[rows] + p]
+    return top
+
+
+def _unshared(form: CanonicalRows) -> np.ndarray:
+    """The ``(K,)`` mask of the disjunctions whose disjuncts' canonical rows
+    do not all have the same coefficient vectors.  Canonical rows are
+    sorted by those vectors, so row ``i`` of every disjunct is compared with
+    row ``i`` of the first, as dicts: the same columns with the same
+    values, in any order."""
+    f = form
+    K = len(f.doff) - 1
+    nrows = f.rowoff[1:] - f.rowoff[:-1]
+    bad = np.bincount(f.dk, nrows != nrows[f.doff[f.dk]], K) > 0
+    g = (~bad[f.k]).nonzero()[0]
+    g0 = g - f.rowoff[f.gd[g]] + f.rowoff[f.doff[f.k[g]]]  # the same row of the first disjunct
+    lens = f.start[1:] - f.start[:-1]
+    same = lens[g] == lens[g0]
+    by_col = np.lexsort((form.cols, np.repeat(np.arange(len(lens)), lens)))
+    cols, vals = form.cols[by_col], form.vals[by_col]
+    nz, at = _entries(form.start, g[same])
+    nz0 = nz - form.start[g[same]][at] + form.start[g0[same]][at]
+    differs = (cols[nz] != cols[nz0]) | (vals[nz] != vals[nz0])
+    wrong = np.concatenate([g[~same], g[same][at[differs]]])
+    return bad | (np.bincount(f.k[wrong], minlength=K) > 0)
+
+
+def shared_lhs(disjunction: Disjunction) -> bool:
+    """True iff all disjuncts carry identical coefficient matrices.
+
+    Rows are canonicalized first; the comparison is positional and requires
+    exact coefficient equality (no rescaling detection).
+    """
+    return not _unshared(_canonical_block([disjunction]))[0]
+
+
+class _Lowering(NamedTuple):
+    """The disjunct rows of a whole model, as ``_lower`` hands them to a
+    pass: the canonical form of every disjunction, where each row sits, the
+    model's boxes and names, and the one decision whether the box implies a
+    row."""
+
+    form: CanonicalRows
+    top: np.ndarray  # (R,) interval_max of each row over the box
+    written: np.ndarray  # (R,) rhs < top: the box does not imply the row
+    ycol: np.ndarray  # (G,) each disjunct's indicator column
+    tags: List[str]  # (K,) each disjunction's tag, as in provenance
+    lo: np.ndarray  # (n,) the model's boxes
+    hi: np.ndarray
+    names: List[str]  # (n,) the model's variable names
+
+    def provenance(self, prefix: str, g: np.ndarray, disjunct: bool = True) -> List[str]:
+        """``prefix:tag:j<j>:r<i>`` of rows ``g`` (without ``j<j>`` when
+        ``disjunct`` is false): ``i`` is the index of the disjunct's own row,
+        with a ``-`` after it for the ``>=`` side of an equality."""
+        f, tags = self.form, self.tags
+        rs = [f"r{i}-" if h else f"r{i}" for i, h in zip(f.source[g].tolist(), f.half[g].tolist())]
+        if not disjunct:
+            return [f"{prefix}:{tags[k]}:{r}" for k, r in zip(f.k[g].tolist(), rs)]
+        return [f"{prefix}:{tags[k]}:j{j}:{r}" for k, j, r in zip(f.k[g].tolist(), f.disjunct[g].tolist(), rs)]
+
+
+LE_CODE, EQ_CODE = SENSES.index(LE), SENSES.index(EQ)
+
+
+class _Rows:
+    """MILP rows written in any order, as blocks of arrays.  Each row has a
+    sort key, its disjunction and three ranks within it, and each entry the
+    id of its row; :meth:`into` appends the rows to a model sorted by key,
+    each with its entries in the order they were given.  Any field of a
+    block may be one value for all of its rows or entries."""
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.rows: List[tuple] = []  # (count, k, rank, rank, rank, sense code, rhs)
+        self.prov: List[str] = []
+        self.ents: List[tuple] = []  # (row ids, cols, vals)
+
+    def add(self, k, r1, r2, r3, code, rhs, provenance: List[str]) -> np.ndarray:
+        """Rows with sort keys ``(k, r1, r2, r3)``, sense codes, right-hand
+        sides and provenance; returns their ids."""
+        ids = np.arange(self.n, self.n + len(provenance))
+        self.n += len(provenance)
+        self.rows.append((len(provenance), k, r1, r2, r3, code, rhs))
+        self.prov += provenance
+        return ids
+
+    def entries(self, ids: np.ndarray, cols, vals) -> None:
+        """One entry ``(cols[e], vals[e])`` at the end of row ``ids[e]``, for each ``e``."""
+        self.ents.append((len(ids), ids, cols, vals))
+
+    def into(self, b: MilpModel) -> None:
+        if not self.n:
+            return
+        k, r1, r2, r3, code, rhs = (_join(self.rows, f) for f in range(1, 7))
+        order = np.lexsort((r3, r2, r1, k))
+        pos = np.empty(self.n, dtype=np.intp)
+        pos[order] = np.arange(self.n)
+        at, cols, vals = pos[_join(self.ents, 1)], _join(self.ents, 2), _join(self.ents, 3)
+        by_row = at.argsort(kind="stable")
+        prov = self.prov
+        b.add_rows(np.bincount(at, minlength=self.n), cols[by_row], vals[by_row], code[order], rhs[order],
+                   [prov[i] for i in order.tolist()])
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+
+
+def _join(blocks: List[tuple], f: int) -> np.ndarray:
+    """Field ``f`` of ``blocks`` joined, a block's single value repeated to
+    its count, field 0."""
+    return np.concatenate([b[f] if type(b[f]) is np.ndarray else np.full(b[0], b[f]) for b in blocks])
+
+
+def _lower(model: GdpModel, pass_name: str, emit: Callable[[MilpModel, _Lowering, _Rows], None]) -> MilpModel:
+    """The lowering every pass shares (see the module docstring).  After
+    the model's own columns and rows, ``emit(b, low, out)`` gets the MILP
+    being built, the whole model's disjunct rows and the block of rows to
+    write them to, each row keyed by its disjunction so that the MILP's
+    rows come disjunction after disjunction, each closed by its
+    exclusive-or row.  Global and logic rows are written with float,
+    nonzero coefficients, as the passes write theirs."""
     _reject_invalid(model)
-    boxes = model.boxes()
     b = MilpModel(name=f"{model.name or 'model'}_{pass_name}")
     for v in model.vars:
         b.add_cont(v.name, v.lower, v.upper)
@@ -383,17 +548,22 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[..., None]) -> MilpMo
         coeffs = {ymap[v]: float(a) for v, a in row.coeffs.items() if a != 0.0}
         b.add_row(coeffs, row.sense, float(row.rhs), f"logic[{li}]")
     b.objective = {v: float(a) for v, a in model.objective.items()}
-    for k, disj in enumerate(model.disjunctions):
-        tag = f"d{k}" + (f"({disj.label})" if disj.label else "")
-        canon = [canonicalize_rows(d).rows for d in disj.disjuncts]
-        tops: Dict[int, float] = {}
-        for rows in canon:
-            for r in rows:
-                if id(r.coeffs) not in tops:
-                    tops[id(r.coeffs)] = interval_max(r.coeffs, boxes)
-        ys = [ymap[d.indicator] for d in disj.disjuncts]
-        emit(b, tag, canon, tops, ys)
-        b.add_row(dict.fromkeys(ys, 1.0), EQ, 1.0, f"{pass_name}:{tag}:xor")
+
+    disjunctions = model.disjunctions
+    form = canonical_form(disjunctions)
+    counts = [len(d.disjuncts) for d in disjunctions]
+    lo = np.array([v.lower for v in model.vars], dtype=float)
+    hi = np.array([v.upper for v in model.vars], dtype=float)
+    top = _row_maxima(form, lo, hi)
+    ycol = np.array([ymap[d.indicator] for disj in disjunctions for d in disj.disjuncts], dtype=np.intp)
+    tags = [f"d{k}" + (f"({disj.label})" if disj.label else "") for k, disj in enumerate(disjunctions)]
+    low = _Lowering(form, top, form.rhs < top, ycol, tags, lo, hi,
+                    [v.name for v in model.vars])
+    out = _Rows()
+    emit(b, low, out)
+    ids = out.add(np.arange(len(tags)), 3, 0, 0, EQ_CODE, 1.0, [f"{pass_name}:{t}:xor" for t in tags])
+    out.entries(np.repeat(ids, counts), ycol, 1.0)
+    out.into(b)
     return b
 
 
@@ -406,15 +576,14 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     holds everywhere in the box and is not written.  No continuous
     variables are added.
     """
-    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], tops: Dict[int, float], ys: List[int]) -> None:
-        for j, (rows, y) in enumerate(zip(canon, ys)):
-            for ri, row in enumerate(rows):
-                m = tops[id(row.coeffs)] - row.rhs  # big_m_bound(row, boxes)
-                if m <= 0.0:
-                    continue
-                coeffs = dict(row.coeffs)
-                coeffs[y] = m
-                b.add_row(coeffs, LE, row.rhs + m, f"bigm:{tag}:j{j}:r{ri}")
+    def emit(b: MilpModel, low: _Lowering, out: _Rows) -> None:
+        f, g = low.form, low.written.nonzero()[0]
+        rhs = f.rhs[g]
+        m = low.top[g] - rhs  # big_m_bound of each row, above 0
+        ids = out.add(f.k[g], 0, g, 0, LE_CODE, rhs + m, low.provenance("bigm", g))
+        nz, at = _entries(f.start, g)
+        out.entries(ids[at], f.cols[nz], f.vals[nz])
+        out.entries(ids, low.ycol[f.gd[g]], m)
 
     return _lower(model, "bigm", emit)
 
@@ -436,42 +605,76 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     relaxation in the model's variables and indicators is unchanged, and per
     disjunction it is still the convex hull of the box-clipped disjuncts
     (Balas 1998).
+
+    Copies are numbered by disjunction, disjunct and variable.  Within a
+    disjunction, each disjunct's rows come first, then its copies' upper
+    and lower links, variable by variable; then the aggregation rows,
+    variable by variable.
     """
-    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], tops: Dict[int, float], ys: List[int]) -> None:
-        copies: List[Dict[int, int]] = []  # per disjunct: variable -> its copy
-        for j, (rows, y) in enumerate(zip(canon, ys)):
-            written = [(ri, r) for ri, r in enumerate(rows) if r.rhs < tops[id(r.coeffs)]]
-            own: Dict[int, int] = {}
-            for v in sorted({v for _, r in written for v in r.coeffs}):
-                var = b.variables[v]  # model.vars[v], with float bounds
-                lo, hi = min(var.lower, 0.0), max(var.upper, 0.0)
-                own[v] = b.add_cont(f"{var.name}__{tag}_j{j}", lo, hi)
-            copies.append(own)
-            for ri, row in written:
-                coeffs = {own[v]: a for v, a in row.coeffs.items()}
-                b.add_row(_with_nonzero(coeffs, y, -row.rhs), LE, 0.0, f"hull:{tag}:j{j}:r{ri}")
-            for v, xh in own.items():
-                var = b.variables[v]
-                # a zero bound is the copy's column bound: no row repeats it
-                if var.upper != 0.0:
-                    b.add_row({xh: 1.0, y: -var.upper}, LE, 0.0, f"hull:{tag}:j{j}:ub[{v}]")
-                if var.lower != 0.0:
-                    b.add_row({xh: -1.0, y: var.lower}, LE, 0.0, f"hull:{tag}:j{j}:lb[{v}]")
-        for v in sorted(set().union(*copies)):
-            if all(v in own for own in copies):
-                agg = {v: 1.0, **{own[v]: -1.0 for own in copies}}
-                b.add_row(agg, EQ, 0.0, f"hull:{tag}:agg[{v}]")
-                continue
-            # A disjunct without a copy of v stands for one in [lower * y, upper * y].
-            var, up, low = b.variables[v], {v: 1.0}, {v: -1.0}
-            for own, y in zip(copies, ys):
-                if v in own:
-                    up[own[v]], low[own[v]] = -1.0, 1.0
-                else:
-                    _with_nonzero(up, y, -var.upper)
-                    _with_nonzero(low, y, var.lower)
-            b.add_row(up, LE, 0.0, f"hull:{tag}:aggub[{v}]")
-            b.add_row(low, LE, 0.0, f"hull:{tag}:agglb[{v}]")
+    def emit(b: MilpModel, low: _Lowering, out: _Rows) -> None:
+        f, nv, tags = low.form, len(low.lo), low.tags
+        g = low.written.nonzero()[0]
+        nz, at = _entries(f.start, g)
+        # the copies: one per disjunct and variable of its written rows
+        gd = f.gd[g]
+        key = gd[at] * nv + f.cols[nz]
+        copies = _unique(key)
+        cgd, cv = np.divmod(copies, nv)
+        ck = f.dk[cgd]
+        cj = cgd - f.doff[ck]
+        ccol = len(b.variables) + np.arange(len(copies))
+        clo, chi = low.lo[cv], low.hi[cv]
+        names = low.names
+        b.variables += map(
+            MilpVar,
+            [f"{names[v]}__{tags[k]}_j{j}" for v, k, j in zip(cv.tolist(), ck.tolist(), cj.tolist())],
+            np.where(0.0 < clo, 0.0, clo).tolist(),  # min(lower, 0.0)
+            np.where(chi < 0.0, 0.0, chi).tolist(),  # max(upper, 0.0)
+        )
+        # each written row in its disjunct's copies: a^T x^j - rhs y_j <= 0
+        rhs = f.rhs[g]
+        ids = out.add(f.k[g], 0, gd, g, LE_CODE, 0.0, low.provenance("hull", g))
+        out.entries(ids[at], ccol[copies.searchsorted(key)], f.vals[nz])
+        cut = (rhs != 0.0).nonzero()[0]
+        out.entries(ids[cut], low.ycol[gd[cut]], -rhs[cut])
+        # the links x^j <= upper y_j and -x^j <= -lower y_j; a zero bound
+        # is the copy's column bound, and no row repeats it
+        R, cy = len(f.rhs), low.ycol[cgd]
+        for side, bound, sign, rank in (("ub", chi, 1.0, 0), ("lb", clo, -1.0, 1)):
+            s = (bound != 0.0).nonzero()[0]
+            prov = [f"hull:{tags[k]}:j{j}:{side}[{v}]"
+                    for k, j, v in zip(ck[s].tolist(), cj[s].tolist(), cv[s].tolist())]
+            ids = out.add(ck[s], 0, cgd[s], R + 2 * cv[s] + rank, LE_CODE, 0.0, prov)
+            out.entries(ids, ccol[s], sign)
+            out.entries(ids, cy[s], -sign * bound[s])
+        # aggregation, per disjunction and variable with a copy: one entry
+        # per disjunct of the disjunction, its copy or, when it has none,
+        # its indicator times the bound
+        pairs = _unique(ck * nv + cv)
+        pk, pv = np.divmod(pairs, nv)
+        J = f.doff[pk + 1] - f.doff[pk]
+        pe = np.repeat(np.arange(len(pairs)), J)
+        egd = (f.doff[pk] - J.cumsum() + J)[pe] + np.arange(len(pe))
+        ekey = egd * nv + pv[pe]
+        ci = np.minimum(copies.searchsorted(ekey), len(copies) - 1)
+        has = copies[ci] == ekey
+        full = np.bincount(pe, has, len(pairs)) == J
+        ecol = np.where(has, ccol[ci], low.ycol[egd])
+        up = [f"hull:{tags[k]}:{'agg' if a else 'aggub'}[{v}]"
+              for k, v, a in zip(pk.tolist(), pv.tolist(), full.tolist())]
+        ids = out.add(pk, 1, pv, 0, np.where(full, EQ_CODE, LE_CODE), 0.0, up)
+        out.entries(ids, pv, 1.0)
+        bound = -low.hi[pv[pe]]
+        s = (has | (bound != 0.0)).nonzero()[0]
+        out.entries(ids[pe[s]], ecol[s], np.where(has[s], -1.0, bound[s]))
+        part = (~full).nonzero()[0]
+        down = [f"hull:{tags[k]}:agglb[{v}]" for k, v in zip(pk[part].tolist(), pv[part].tolist())]
+        lb_ids = np.zeros(len(pairs), dtype=np.intp)
+        lb_ids[part] = out.add(pk[part], 1, pv[part], 1, LE_CODE, 0.0, down)
+        out.entries(lb_ids[part], pv[part], -1.0)
+        bound = low.lo[pv[pe]]
+        s = (~full[pe] & (has | (bound != 0.0))).nonzero()[0]
+        out.entries(lb_ids[pe[s]], ecol[s], np.where(has[s], 1.0, bound[s]))
 
     return _lower(model, "hull", emit)
 
@@ -502,18 +705,22 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     ``reformulate_rhr(align_model(model))`` closes the gap with about 17%
     more rows (35 -> 41 at seven jobs).
     """
-    def emit(b: MilpModel, tag: str, canon: List[List[LinRow]], tops: Dict[int, float], ys: List[int]) -> None:
-        if not _same_lhs(canon):
+    def emit(b: MilpModel, low: _Lowering, out: _Rows) -> None:
+        f = low.form
+        bad = _unshared(f).nonzero()[0]
+        if bad.size:
             raise SharedLhsViolation(
-                f"disjunction {tag} does not share a left-hand side; align it first"
+                f"disjunction {low.tags[bad[0]]} does not share a left-hand side; align it first"
             )
-        for ri, row in enumerate(canon[0]):
-            top = tops[id(row.coeffs)]
-            if all(rows[ri].rhs >= top for rows in canon):
-                continue
-            coeffs = dict(row.coeffs)
-            for rows, y in zip(canon, ys):
-                _with_nonzero(coeffs, y, -rows[ri].rhs)
-            b.add_row(coeffs, LE, 0.0, f"rhr:{tag}:r{ri}")
+        g0 = np.arange(len(f.rhs)) - f.rowoff[f.gd] + f.rowoff[f.doff[f.k]]  # the same row of the first disjunct
+        cut = np.bincount(g0[f.rhs < low.top[g0]], minlength=len(g0)) > 0
+        r0 = cut.nonzero()[0]
+        ids = out.add(f.k[r0], 0, r0, 0, LE_CODE, 0.0, low.provenance("rhr", r0, disjunct=False))
+        nz, at = _entries(f.start, r0)
+        out.entries(ids[at], f.cols[nz], f.vals[nz])
+        row_id = np.zeros(len(g0), dtype=np.intp)
+        row_id[r0] = ids
+        s = (cut[g0] & (f.rhs != 0.0)).nonzero()[0]
+        out.entries(row_id[g0[s]], low.ycol[f.gd[s]], -f.rhs[s])
 
     return _lower(model, "rhr", emit)

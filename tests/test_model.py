@@ -211,6 +211,15 @@ BREAKS = {
     "var-name-unhashable": lambda m: replace(m, vars=[replace(m.vars[0], name=["x"])] + m.vars[1:]),
     "var-name-int": lambda m: replace(m, vars=[replace(m.vars[0], name=0)] + m.vars[1:]),
     "indicator-name-unhashable": lambda m: replace(m, bools=[["y"]] + m.bools[1:]),
+    "global-row-none": lambda m: with_global_row(m, lambda r: None),
+    "var-none": lambda m: replace(m, vars=[None] + m.vars[1:]),
+    "disjunction-none": lambda m: replace(m, disjunctions=[None] + m.disjunctions[1:]),
+    "disjunct-none": lambda m: replace(m, disjunctions=[
+        Disjunction([None] + list(d.disjuncts[1:]), d.label) for d in m.disjunctions[:1]] + m.disjunctions[1:]),
+    "disjunct-row-none": lambda m: with_disjunct_row(m, lambda r: None),
+    "logic-row-none": lambda m: replace(m, logic=m.logic + [None]),
+    "bools-none": lambda m: replace(m, bools=None),
+    "disjunct-coefficient-array": lambda m: with_disjunct_row(m, coefficient(np.array([1.0, 2.0]))),
 }
 # What the row-by-row walk accepts; the bulk check takes only "valid" and "logic-1.0".
 VALID_BREAKS = {"valid", "objective-fraction", "index-bool", "indicator-bool", "logic-1.0"} | {
@@ -259,6 +268,30 @@ def test_malformed_containers_and_names_are_reported_by_field():
         "variable 0: name ['x'] is not a string",
         "indicator 1: name {'y2'} is not a string",
     ]
+
+
+def test_entries_of_the_wrong_type_are_reported_by_field():
+    assert validate(tiny_model(global_rows=[None], bools=None, logic=[None])) == [
+        "bools: not a list",
+        "global row 0: None is not a LinRow",
+        "disjunction 0 (split), disjunct 0: undeclared indicator 0",
+        "disjunction 0 (split), disjunct 1: undeclared indicator 1",
+        "logic row 0: None is not a LinRow",
+    ]
+    split = tiny_model().disjunctions[0]
+    bad = tiny_model(
+        vars=[None, ContinuousVar("z", 0.0, 5.0)],
+        disjunctions=[None, Disjunction([None, Disjunct(1, [None, LinRow({0: np.ones(2)}, 1.0)])])],
+    )
+    assert _bulk_valid(bad) is False
+    assert validate(bad) == [
+        "variable 0: None is not a ContinuousVar",
+        "disjunction 0: None is not a Disjunction",
+        "disjunction 1, disjunct 0: None is not a Disjunct",
+        "disjunction 1, disjunct 1, row 0: None is not a LinRow",
+        "disjunction 1, disjunct 1, row 1: coefficient on variable 0 is not a number",
+    ]
+    assert validate(tiny_model(disjunctions=[split])) == []
 
 
 def test_canonicalize_flips_ge_rows():

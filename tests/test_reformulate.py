@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from gldp import (
     GdpModel,
     Job,
     LinRow,
+    MilpModel,
     SchedulingInstance,
     SharedLhsViolation,
     align_model,
@@ -39,7 +41,7 @@ from gldp import (
     validate,
 )
 from gldp.milp import LpEngine
-from gldp.reformulate import EMPTY_TOL, _difference_closures, _difference_form, _lower
+from gldp.reformulate import EMPTY_TOL, _difference_closures, _difference_form
 
 
 def interval_union_model():
@@ -143,7 +145,9 @@ def test_bigm_clamps_never_violated_rows():
     # M <= 0: the row holds everywhere in the box and is not written
     assert [r.provenance for r in milp.rows] == ["bigm:d0:j1:r0", "bigm:d0:xor"]
     # writing it, as x <= 5 with M clamped to 0, leaves the LP optimum as it is
-    clamped = replace(milp, rows=milp.rows + [LinRow({0: 1.0}, 5.0, LE, "bigm:d0:j0:r0")])
+    clamped = replace(milp)
+    clamped.add_row({0: 1.0}, LE, 5.0, "bigm:d0:j0:r0")
+    assert len(clamped.rows) == len(milp.rows) + 1
     for objective in ({0: 1.0}, {0: -1.0}, {0: 1.0, 2: -3.0}):
         z = solve_lp(replace(milp, objective=objective)).objective
         assert z == solve_lp(replace(clamped, objective=objective)).objective
@@ -243,7 +247,8 @@ def test_align_keeps_tighter_rhs():
     (d,) = align_model(m).disjunctions
     rows1 = {tuple(sorted(r.coeffs.items())): r.rhs for r in d.disjuncts[1].rows}
     assert rows1[((0, 1.0),)] == 1.0
-    assert rows1[((0, -1.0),)] == 0.0
+    # -x <= 0 holds on the whole box in both disjuncts, so no aligned row carries it
+    assert ((0, -1.0),) not in rows1
 
 
 def test_align_gives_a_shared_disjunction_support_values():
@@ -540,6 +545,22 @@ def mixed_shape_models(draw):
     )
 
 
+def box_vertices(disjunct, dvars, boxes):
+    """The vertices of the disjunct within the box over ``dvars`` (at most
+    three variables), as rows of an array, none when it is empty: every
+    ``len(dvars)``-subset of its rows and box faces solved as equalities,
+    and the points that satisfy all of them within 1e-9 kept."""
+    faces = [({v: 1.0}, boxes[v][1]) for v in dvars] + [({v: -1.0}, -boxes[v][0]) for v in dvars]
+    rows = [(r.coeffs, r.rhs) for r in canonicalize_rows(disjunct).rows] + faces
+    a = np.array([[c.get(v, 0.0) for v in dvars] for c, _ in rows])
+    b = np.array([rhs for _, rhs in rows])
+    subsets = np.array(list(itertools.combinations(range(len(rows)), len(dvars))))
+    sub_a, sub_b = a[subsets], b[subsets]
+    ok = np.abs(np.linalg.det(sub_a)) > 1e-12
+    points = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
+    return points[(points @ a.T <= b + 1e-9).all(axis=1)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(mixed_shape_models())
 def test_align_model_batches_mixed_shapes(m):
@@ -548,12 +569,20 @@ def test_align_model_batches_mixed_shapes(m):
     empty = []
     for disj, adisj in zip(m.disjunctions, aligned.disjunctions):
         dvars = sorted({v for d in disj.disjuncts for r in d.rows for v in r.coeffs})
+        keys = {tuple(sorted(r.coeffs.items())) for d in disj.disjuncts for r in canonicalize_rows(d).rows}
+        keys |= {((v, s),) for v in dvars for s in (1.0, -1.0)}
+        kept = {tuple(sorted(r.coeffs.items())) for r in adisj.disjuncts[0].rows}
         for d, ad in zip(disj.disjuncts, adisj.disjuncts):
-            supports = [lp_support(d, r.coeffs, dvars, boxes) for r in ad.rows]
-            if supports[0] is None:
+            points = box_vertices(d, dvars, boxes)
+            if not len(points):
                 empty.append(d.indicator)
                 continue
-            assert [r.rhs for r in ad.rows] == pytest.approx(supports, abs=1e-9)
+            def support(coeffs):
+                return (points @ [coeffs.get(v, 0.0) for v in dvars]).max()
+            assert [r.rhs for r in ad.rows] == pytest.approx([support(r.coeffs) for r in ad.rows], abs=1e-9)
+            # a row left out is one the box implies in every disjunct
+            for key in keys - kept:
+                assert support(dict(key)) >= corner_max(dict(key), boxes) - 1e-9
     assert empty  # the deliberately empty disjunct, at least
     assert aligned.logic == [LinRow({y: 1}, 0, LE) for y in empty]
     assert align_model(aligned) == aligned
@@ -714,16 +743,16 @@ def test_passes_write_float_nonzero_coefficients(gen, n, seed, concept, reform):
 
 def reference_lowering(model, reform):
     """BM, HR or RHR as the passes write them, but writing every disjunct
-    row, the ones the boxes imply too."""
+    row, the ones the boxes imply too, one disjunction at a time."""
     boxes = model.boxes()
 
-    def bigm(b, tag, canon, tops, ys):
+    def bigm(b, tag, canon, ys):
         for rows, y in zip(canon, ys):
             for row in rows:
                 m = max(0.0, big_m_bound(row, boxes))
                 b.add_row({**row.coeffs, y: m}, LE, row.rhs + m, f"bigm:{tag}")
 
-    def hull(b, tag, canon, tops, ys):
+    def hull(b, tag, canon, ys):
         dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
         agg = {v: {v: 1.0} for v in dvars}
         for j, (rows, y) in enumerate(zip(canon, ys)):
@@ -740,13 +769,27 @@ def reference_lowering(model, reform):
         for coeffs in agg.values():
             b.add_row(coeffs, EQ, 0.0, f"hull:{tag}")
 
-    def rhr(b, tag, canon, tops, ys):
+    def rhr(b, tag, canon, ys):
         for ri, row in enumerate(canon[0]):
             coeffs = dict(row.coeffs)
             coeffs.update((y, -rows[ri].rhs) for rows, y in zip(canon, ys))
             b.add_row(coeffs, LE, 0.0, f"rhr:{tag}")
 
-    return _lower(model, "ref", {"BM": bigm, "HR": hull, "RHR": rhr}[reform])
+    emit = {"BM": bigm, "HR": hull, "RHR": rhr}[reform]
+    b = MilpModel(name="ref")
+    for v in model.vars:
+        b.add_cont(v.name, v.lower, v.upper)
+    ymap = [b.add_bin(name) for name in model.bools]
+    for row in model.global_rows:
+        b.add_row({v: float(a) for v, a in row.coeffs.items()}, row.sense, float(row.rhs), "global")
+    for row in model.logic:
+        b.add_row({ymap[v]: float(a) for v, a in row.coeffs.items()}, row.sense, float(row.rhs), "logic")
+    b.objective = dict(model.objective)
+    for k, disj in enumerate(model.disjunctions):
+        ys = [ymap[d.indicator] for d in disj.disjuncts]
+        emit(b, f"d{k}", [canonicalize_rows(d).rows for d in disj.disjuncts], ys)
+        b.add_row(dict.fromkeys(ys, 1.0), EQ, 1.0, f"d{k}:xor")
+    return b
 
 
 @settings(max_examples=40, deadline=None)
@@ -896,3 +939,60 @@ def test_hull_incumbents_hold_in_the_source_model(gen, n, seed, concept):
     assert check_assignment(model, x, y) == []
     oracle = sched_oracle if gen is gen_scheduling else strip_oracle
     assert res.objective == pytest.approx(oracle(inst).optimum, abs=1e-6)
+
+
+def equality_model():
+    """Disjunct rows of every sense: ``x0 + x1 == 4`` splits into two
+    canonical rows, and ``x1 >= 1`` is negated."""
+    return GdpModel(
+        vars=[ContinuousVar("x0", 0.0, 10.0), ContinuousVar("x1", 0.0, 10.0)],
+        bools=["y0", "y1"],
+        objective={0: 1.0},
+        global_rows=[],
+        disjunctions=[
+            Disjunction(
+                [
+                    Disjunct(0, [LinRow({0: 1.0, 1: -1.0}, 3.0), LinRow({1: 1.0, 0: 1.0}, 4.0, EQ),
+                                 LinRow({1: 1.0}, 1.0, ">=")]),
+                    Disjunct(1, [LinRow({0: 1.0}, 6.0, ">=")]),
+                ],
+                label="eq",
+            )
+        ],
+        logic=[],
+    )
+
+
+PROVENANCE = re.compile(r"^(bigm|hull|rhr):d(\d+)(?:\(.*\))?(?::j(\d+))?:r(\d+)(-?)$")
+
+
+@pytest.mark.parametrize("name", ["TS", "S_symbreak", "S1", "equality"])
+def test_provenance_names_the_models_own_row(name):
+    model = equality_model() if name == "equality" else build_model(
+        (gen_strip(3, 2) if name.startswith("S") else gen_scheduling(4, 3)), name)
+    traced = 0
+    for reform, pass_ in PASSES.items():
+        if reform == "RHR" and name in ("S_symbreak", "equality"):
+            continue
+        for provenance, a, rhs in disjunct_rows_in_x(pass_(model)):
+            _, k, j, i, half = PROVENANCE.match(provenance).groups()
+            row = model.disjunctions[int(k)].disjuncts[int(j or 0)].rows[int(i)]
+            sign = -1.0 if half or row.sense == ">=" else 1.0
+            assert a == {v: sign * c for v, c in row.coeffs.items()}, provenance
+            assert rhs[0] == pytest.approx(sign * row.rhs), provenance
+            assert not half or row.sense == EQ, provenance
+            traced += 1
+    assert traced
+
+
+def test_equality_halves_are_named_apart():
+    # canonical order: -x0 - x1 <= -4, x0 - x1 <= 3, x0 + x1 <= 4, -x1 <= -1
+    milp = reformulate_bigm(equality_model())
+    assert [r.provenance for r in milp.rows] == [
+        "bigm:d0(eq):j0:r1-", "bigm:d0(eq):j0:r0", "bigm:d0(eq):j0:r1", "bigm:d0(eq):j0:r2",
+        "bigm:d0(eq):j1:r0", "bigm:d0(eq):xor",
+    ]
+    # the disjunct's row 1 of build_ts(gen_scheduling(3, 1)) is -x0 <= -6
+    (row,) = [r for r in reformulate_bigm(build_ts(gen_scheduling(3, 1))).rows
+              if r.provenance == "bigm:d0(slot(0)):j0:r1"]
+    assert {v: a for v, a in row.coeffs.items() if v < 4} == {0: -1.0} and row.rhs + 6.0 == row.coeffs[4]
