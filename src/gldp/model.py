@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, le
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -141,21 +141,19 @@ class GdpModel:
         return len(self.bools)
 
 
-def _row_sort_key(row: LinRow) -> tuple:
-    return (tuple(sorted(row.coeffs.items())), row.rhs)
-
-
 def _as_le_rows(row: LinRow) -> List[LinRow]:
     """Rewrite a row as one or two ``<=`` rows with zero coefficients dropped.
 
     A row that is already canonical (``<=``, float coefficients, none zero,
     a float right-hand side, no provenance) is returned as it is.
     """
+    values = row.coeffs.values()
     if (
         row.sense == LE
         and type(row.rhs) is float
         and not row.provenance
-        and all(type(a) is float and a != 0.0 for a in row.coeffs.values())
+        and set(map(type, values)) == {float}
+        and 0.0 not in values
     ):
         return [row]
     coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
@@ -168,14 +166,18 @@ def _as_le_rows(row: LinRow) -> List[LinRow]:
     return rows
 
 
-def _canonical_entries(disjunct: Disjunct) -> List[Tuple[LinRow, int, int]]:
-    """The canonical rows of a disjunct (see :func:`canonicalize_rows`), each
-    with the index of the disjunct's row it comes from and its half: 1 for
-    the ``>=`` side of an equality, else 0."""
+def _canonical_entries(disjunct: Disjunct) -> List[Tuple[tuple, float, int, int, LinRow]]:
+    """The canonical rows of a disjunct (see :func:`canonicalize_rows`), in
+    order, each as its sorted coefficient items, its right-hand side, the
+    index of the disjunct's row it comes from, its half (1 for the ``>=``
+    side of an equality, else 0) and the row.  No two entries tie before
+    the row: the halves of an equality differ in their items."""
     entries = [
-        (r, i, h) for i, row in enumerate(disjunct.rows) for h, r in enumerate(_as_le_rows(row))
+        (tuple(sorted(r.coeffs.items())), r.rhs, i, h, r)
+        for i, row in enumerate(disjunct.rows)
+        for h, r in enumerate(_as_le_rows(row))
     ]
-    entries.sort(key=lambda e: _row_sort_key(e[0]))
+    entries.sort()
     return entries
 
 
@@ -187,7 +189,7 @@ def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
     by right-hand side.  The operation is idempotent and preserves the
     disjunct's feasible set.
     """
-    return Disjunct(disjunct.indicator, [r for r, _, _ in _canonical_entries(disjunct)])
+    return Disjunct(disjunct.indicator, [e[-1] for e in _canonical_entries(disjunct)])
 
 
 class CanonicalRows(NamedTuple):
@@ -245,7 +247,7 @@ def _canonical_block(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
     first = [0]
     for disj in disjunctions:
         for j, d in enumerate(disj.disjuncts):
-            for r, i, h in _canonical_entries(d):
+            for _, _, i, h, r in _canonical_entries(d):
                 rows.append(r)
                 tags.append((j, i, h))
         first.append(len(rows))

@@ -75,9 +75,9 @@ from .model import (
     MilpModel,
     MilpVar,
     _canonical_block,
+    _canonical_entries,
     canonical_form,
     canonical_rows,
-    canonicalize_rows,
     set_canonical_form,
     validate,
 )
@@ -317,15 +317,12 @@ def align_model(model: GdpModel) -> GdpModel:
     parts: List[Tuple[List[int], List[Sequence[LinRow]]]] = []
     shapes: Dict[tuple, List[int]] = {}
     for k, disj in enumerate(model.disjunctions):
-        canon = [canonicalize_rows(d).rows for d in disj.disjuncts]
-        dvars = sorted({v for rows in canon for r in rows for v in r.coeffs})
+        entries = [_canonical_entries(d) for d in disj.disjuncts]
+        dvars = sorted({v for es in entries for e in es for v, _ in e[0]})
         pos = {v: i for i, v in enumerate(dvars)}
-        shape = (len(dvars),) + tuple(
-            tuple(tuple([(pos[v], a) for v, a in sorted(r.coeffs.items())]) for r in rows)
-            for rows in canon
-        )
+        shape = (len(dvars),) + tuple(tuple(tuple([(pos[v], a) for v, a in e[0]]) for e in es) for es in entries)
         shapes.setdefault(shape, []).append(k)
-        parts.append((dvars, canon))
+        parts.append((dvars, [[e[-1] for e in es] for es in entries]))
 
     # The kept rows of every shape, each disjunct's in key order: the
     # disjunction, the disjunct, the rank among the disjunction's kept keys,
