@@ -1,7 +1,9 @@
 """LP relaxations and branch-and-bound for the reformulated MILPs.
 
 One :class:`LpEngine` holds the LP relaxation of a MILP (binaries relaxed to
-[0, 1]) as a persistent HiGHS model, built once.  Every later solve only
+[0, 1]) as a persistent HiGHS model, built once from the arrays of the
+MILP's row store, which HiGHS takes row-wise as they are; no row is read in
+Python.  Every later solve only
 changes column bounds and re-runs HiGHS dual simplex, which returns an
 optimal basic solution.  No LP is presolved, cold or warm: on these models
 HiGHS's presolve costs more than the simplex solve it prepares.  The dual
@@ -117,8 +119,8 @@ class LpEngine:
 
     def __init__(self, model: MilpModel):
         n = len(model.variables)
-        start, index, value, _, _ = model.row_arrays()
-        row_lower, row_upper = model.row_bounds()
+        start, index, value, _, _ = model.store.arrays()
+        row_lower, row_upper = model.store.bounds()
         self.n = n
         self.lower = np.fromiter((v.lower for v in model.variables), float, n)
         self.upper = np.fromiter((v.upper for v in model.variables), float, n)
@@ -243,8 +245,8 @@ def solve_lp(model: MilpModel) -> LpResult:
 def max_violation(model: MilpModel, x: np.ndarray) -> float:
     """Largest constraint or box violation of a point (0 when feasible)."""
     x = np.asarray(x, dtype=float)
-    start, cols, vals, _, _ = model.row_arrays()
-    row_lower, row_upper = model.row_bounds()
+    start, cols, vals, _, _ = model.store.arrays()
+    row_lower, row_upper = model.store.bounds()
     rows = np.repeat(np.arange(len(row_lower)), np.diff(start))
     activity = np.bincount(rows, vals * x[cols], minlength=len(row_lower))
     lower = np.fromiter((v.lower for v in model.variables), float, len(model.variables))

@@ -7,7 +7,17 @@ variables and always minimized.
 
 A :class:`MilpModel` is the flat mixed-integer program produced by the
 reformulation passes in :mod:`gldp.reformulate`.  Every MILP row carries a
-provenance tag naming the pass and source entity that produced it.
+provenance tag naming the pass and source entity that produced it.  Its rows
+live in one CSR store (:class:`RowStore`): row starts, column indices and
+coefficients, a sense code and right-hand side per row, and the provenance
+strings.  Passes append whole blocks of rows as arrays and single rows one
+at a time; ``MilpModel.rows`` is a read-only view of the store as
+:class:`LinRow` objects, built when it is first read after a change.
+
+A disjunction's canonical rows (:func:`canonicalize_rows`, every disjunct
+at once) are kept as :class:`CanonicalRows` arrays, cached on the frozen
+:class:`Disjunction` by :func:`canonical_form`, or set by ``align_model``
+for the disjunctions it makes.
 
 Global, disjunct, logic and MILP rows are all of one type, :class:`LinRow`,
 and :func:`row_range` is the one place where a row sense gets its meaning:
@@ -26,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, le
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -562,12 +572,14 @@ class RowStore:
     ``SENSES``; a row written with another sense appends it, so that a
     solver can reject it.  Rows come one at a time (:meth:`add`) or as a
     block of arrays (:meth:`add_block`); :meth:`arrays` joins them once, and
-    the joined arrays are read-only.
+    the joined arrays are read-only.  A block's provenance strings are made
+    when :attr:`provenance` is first read: solving a MILP reads none.
     """
 
     def __init__(self) -> None:
         self.senses: List[str] = list(SENSES)
-        self.provenance: List[str] = []
+        self._count = 0
+        self._names: List = []  # provenance: lists of strings, or functions that make one
         self._joined = _frozen(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
                                np.zeros(0, np.int8), np.zeros(0))
         self._blocks: List[Tuple[np.ndarray, ...]] = []  # (lens, cols, vals, code, rhs), not yet joined
@@ -575,22 +587,22 @@ class RowStore:
         self._view: Optional[Tuple[LinRow, ...]] = None
 
     def __len__(self) -> int:
-        return len(self.provenance)
+        return self._count
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RowStore):
-            return NotImplemented
-        (*mine, code), (*theirs, other_code) = self.arrays()[:4], other.arrays()[:4]
-        return (
-            self.provenance == other.provenance
-            and all(map(np.array_equal, mine + [self.arrays()[4]], theirs + [other.arrays()[4]]))
-            and [self.senses[c] for c in code] == [other.senses[c] for c in other_code]
-        )
+        return self.view() == other.view() if isinstance(other, RowStore) else NotImplemented
+
+    @property
+    def provenance(self) -> List[str]:
+        if any(map(callable, self._names)):
+            self._names = [list(chain.from_iterable(p() if callable(p) else p for p in self._names))]
+        return self._names[0] if self._names else []
 
     def copy(self) -> RowStore:
         other = RowStore()
         other.senses = list(self.senses)
-        other.provenance = list(self.provenance)
+        other._count = self._count
+        other._names = [list(self.provenance)]
         other._joined = self.arrays()
         return other
 
@@ -603,16 +615,21 @@ class RowStore:
         vals.extend(coeffs.values())
         code.append(self.senses.index(sense))
         rhss.append(rhs)
-        self.provenance.append(provenance)
+        if not self._names or callable(self._names[-1]):
+            self._names.append([])
+        self._names[-1].append(provenance)
+        self._count += 1
         self._view = None
 
     def add_block(self, lens: np.ndarray, cols: np.ndarray, vals: np.ndarray, code: np.ndarray,
-                  rhs: np.ndarray, provenance: List[str]) -> None:
+                  rhs: np.ndarray, provenance: Callable[[], List[str]]) -> None:
         """Append rows with ``lens[r]`` coefficients each, read in turn from
-        ``cols`` and ``vals``, and sense codes into ``SENSES``."""
+        ``cols`` and ``vals``, sense codes into ``SENSES``, and a function
+        that makes their provenance strings."""
         self._flush()
         self._blocks.append((lens, cols, vals, code, rhs))
-        self.provenance += provenance
+        self._names.append(provenance)
+        self._count += len(lens)
         self._view = None
 
     def _flush(self) -> None:
@@ -635,6 +652,16 @@ class RowStore:
                                    code.astype(np.int8), rhs.astype(float))
             self._blocks = []
         return self._joined
+
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The interval ``(lower, upper)`` that each row's activity must lie
+        in, by :func:`row_range`; a row of unknown sense raises ``ValueError``."""
+        _, _, _, code, rhs = self.arrays()
+        # the meaning of each sense, from row_range: which side is rhs, which infinite
+        sides = np.array([row_range(s, 0.0) for s in self.senses[: code.max(initial=-1) + 1]])
+        sides = sides.reshape(-1, 2)[code]
+        return (np.where(np.isinf(sides[:, 0]), sides[:, 0], rhs),
+                np.where(np.isinf(sides[:, 1]), sides[:, 1], rhs))
 
     def view(self) -> Tuple[LinRow, ...]:
         """Every row as a :class:`LinRow`, built on the first call after a
@@ -663,8 +690,8 @@ class MilpModel:
     """A flat mixed-integer linear program (minimization).
 
     A pass starts from an empty model and fills it with :meth:`add_cont`,
-    :meth:`add_bin`, :meth:`add_row` and :meth:`add_rows`.  The rows live in
-    one :class:`RowStore`; :attr:`rows` is a read-only view of them as
+    :meth:`add_bin`, :meth:`add_row` and ``store.add_block``.  The rows live
+    in one :class:`RowStore`; :attr:`rows` is a read-only view of them as
     :class:`LinRow` objects, built on demand.  ``rows`` given to the
     constructor are appended to ``store``, which is copied.
     """
@@ -693,10 +720,6 @@ class MilpModel:
     def rows(self) -> Tuple[LinRow, ...]:
         return self.store.view()
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.store)
-
     def add_cont(self, name: str, lower: float, upper: float) -> int:
         self.variables.append(MilpVar(name, float(lower), float(upper), False))
         return len(self.variables) - 1
@@ -709,24 +732,6 @@ class MilpModel:
         """Append a row; ``coeffs`` must hold float, nonzero coefficients
         and ``rhs`` must be a float."""
         self.store.add(coeffs, sense, rhs, provenance)
-
-    def add_rows(self, lens: np.ndarray, cols: np.ndarray, vals: np.ndarray, code: np.ndarray,
-                 rhs: np.ndarray, provenance: List[str]) -> None:
-        """Append a block of rows (see :meth:`RowStore.add_block`)."""
-        self.store.add_block(lens, cols, vals, code, rhs, provenance)
-
-    def row_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(start, cols, vals, code, rhs)`` of the rows (see :class:`RowStore`)."""
-        return self.store.arrays()
-
-    def row_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The interval ``(lower, upper)`` that each row's activity must lie
-        in, by :func:`row_range`; a row of unknown sense raises ``ValueError``."""
-        _, _, _, code, rhs = self.store.arrays()
-        # the meaning of each sense, from row_range: which side is rhs, which infinite
-        sides = np.array([row_range(self.store.senses[c], 0.0) for c in range(code.max(initial=-1) + 1)])
-        sides = sides.reshape(-1, 2)[code]
-        return np.where(np.isinf(sides[:, 0]), sides[:, 0], rhs), np.where(np.isinf(sides[:, 1]), sides[:, 1], rhs)
 
     @property
     def binary_indices(self) -> List[int]:
@@ -746,7 +751,7 @@ class MilpModel:
         return {
             "continuous": self.num_continuous,
             "binary": self.num_binary,
-            "rows": self.num_rows,
+            "rows": len(self.store),
             "rows_le": by_sense[SENSES.index(LE)],
             "rows_ge": by_sense[SENSES.index(GE)],
             "rows_eq": by_sense[SENSES.index(EQ)],

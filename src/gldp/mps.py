@@ -40,7 +40,7 @@ def _sanitized_names(model: MilpModel) -> List[str]:
 def to_mps_string(model: MilpModel) -> str:
     """Render the model as free-format MPS text."""
     names = _sanitized_names(model)
-    start, cols, vals, code, rhs = model.row_arrays()
+    start, cols, vals, code, rhs = model.store.arrays()
     kinds = [_SENSE_TO_ROW[s] for s in model.store.senses[: code.max(initial=-1) + 1]]
     lines: List[str] = [f"NAME          {model.name or 'GLDP'}"]
     lines.append("ROWS")

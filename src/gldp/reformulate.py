@@ -19,25 +19,33 @@ Three passes are provided:
     summing the per-disjunct rows, leaving one inequality per shared row with
     an indicator-weighted right-hand side.  Adds no continuous variables.
 
-The passes differ only in the rows they write for a disjunction.  All three
-run one loop, ``_lower``: validate the model, copy its variables, indicators,
-global rows, logic rows and objective, then, per disjunction, canonicalize
-the disjuncts once, make the table of row maxima (``interval_max`` of each
-coefficient dict of the canonical rows, once per dict, as aligned disjuncts
-share them), let the pass write its rows and add the exclusive-or row over
-the indicators.
+The passes differ only in the rows they write.  All three run one
+lowering, ``_lower``: validate the model, copy its variables, indicators,
+global rows, logic rows and objective, then take the canonical form of the
+whole model's disjunctions (``gldp.model.canonical_form``: every
+disjunct's canonical ``<=`` rows as one CSR block, cached on the
+disjunctions, so a model lowered by several passes is canonicalized once,
+and an aligned one never), compute every row's maximum over the box in one
+numpy pass (``interval_max``'s terms, added in the same order), let the
+pass write its rows for the whole model as numpy blocks, and add each
+disjunction's exclusive-or row.  The blocks are sorted into the MILP's row
+order: disjunction after disjunction, each one's rows as the pass lists
+them, then its exclusive-or row.
 
-No pass writes a disjunct row that the variable boxes already imply, that is
-a row ``a^T x <= rhs`` with ``rhs >= interval_max(a)``, read from the table:
-such a row cuts nothing from any pass's LP relaxation (see each pass).
-Aligned disjuncts carry many of them.  Rows implied only by other rows of
-the disjunct are still written.
+That pass over the row maxima is the one place that decides whether the
+variable boxes imply a disjunct row ``a^T x <= rhs``: they do when ``rhs
+>= interval_max(a)``.  No pass writes such a row: it cuts nothing from any
+pass's LP relaxation (see each pass).  Rows implied only by other rows of
+the disjunct are still written.  Provenance names each written row's
+source: ``…:j<j>:r<i>`` is row ``i`` of disjunct ``j`` as the model holds
+it, and ``r<i>-`` the ``>=`` side of an equality.
 
 ``align_model`` brings every disjunction of a model to the shared-coefficient
 form: every disjunct gets every row of its disjunction plus ``±x_v`` for each
 of its variables, with right-hand sides equal to the rows' maxima over the
-disjunct within the box, and the indicator of any disjunct that is empty
-within the box is fixed at 0.  It is the one way to that form; it aligns a
+disjunct within the box, less the rows that the box implies in every
+disjunct, and the indicator of any disjunct that is empty within the box is
+fixed at 0.  It is the one way to that form; it aligns a
 disjunction that already shares a left-hand side too, because sharing alone
 does not make the right-hand sides support values.  It works in one batch
 per shape of disjunction: the difference bounds of all disjunctions with the
@@ -59,6 +67,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import replace
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -426,10 +435,10 @@ def _unshared(form: CanonicalRows) -> np.ndarray:
     g0 = g - f.rowoff[f.gd[g]] + f.rowoff[f.doff[f.k[g]]]  # the same row of the first disjunct
     lens = f.start[1:] - f.start[:-1]
     same = lens[g] == lens[g0]
-    by_col = np.lexsort((form.cols, np.repeat(np.arange(len(lens)), lens)))
-    cols, vals = form.cols[by_col], form.vals[by_col]
-    nz, at = _entries(form.start, g[same])
-    nz0 = nz - form.start[g[same]][at] + form.start[g0[same]][at]
+    by_col = np.lexsort((f.cols, np.repeat(np.arange(len(lens)), lens)))
+    cols, vals = f.cols[by_col], f.vals[by_col]
+    nz, at = _entries(f.start, g[same])
+    nz0 = nz - f.start[g[same]][at] + f.start[g0[same]][at]
     differs = (cols[nz] != cols[nz0]) | (vals[nz] != vals[nz0])
     wrong = np.concatenate([g[~same], g[same][at[differs]]])
     return bad | (np.bincount(f.k[wrong], minlength=K) > 0)
@@ -483,16 +492,17 @@ class _Rows:
     def __init__(self) -> None:
         self.n = 0
         self.rows: List[tuple] = []  # (count, k, rank, rank, rank, sense code, rhs)
-        self.prov: List[str] = []
+        self.prov: List[Callable[[], List[str]]] = []
         self.ents: List[tuple] = []  # (row ids, cols, vals)
 
-    def add(self, k, r1, r2, r3, code, rhs, provenance: List[str]) -> np.ndarray:
-        """Rows with sort keys ``(k, r1, r2, r3)``, sense codes, right-hand
-        sides and provenance; returns their ids."""
-        ids = np.arange(self.n, self.n + len(provenance))
-        self.n += len(provenance)
-        self.rows.append((len(provenance), k, r1, r2, r3, code, rhs))
-        self.prov += provenance
+    def add(self, k: np.ndarray, r1, r2, r3, code, rhs, provenance: Callable[[], List[str]]) -> np.ndarray:
+        """Rows of disjunctions ``k`` with sort keys ``(k, r1, r2, r3)``,
+        sense codes, right-hand sides and a function that makes their
+        provenance; returns their ids."""
+        ids = np.arange(self.n, self.n + len(k))
+        self.n += len(k)
+        self.rows.append((len(k), k, r1, r2, r3, code, rhs))
+        self.prov.append(provenance)
         return ids
 
     def entries(self, ids: np.ndarray, cols, vals) -> None:
@@ -508,15 +518,13 @@ class _Rows:
         pos[order] = np.arange(self.n)
         at, cols, vals = pos[_join(self.ents, 1)], _join(self.ents, 2), _join(self.ents, 3)
         by_row = at.argsort(kind="stable")
-        prov = self.prov
-        b.add_rows(np.bincount(at, minlength=self.n), cols[by_row], vals[by_row], code[order], rhs[order],
-                   [prov[i] for i in order.tolist()])
 
+        def provenance(made=self.prov) -> List[str]:
+            names = list(chain.from_iterable(p() for p in made))
+            return [names[i] for i in order.tolist()]
 
-def _unique(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``a``."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+        b.store.add_block(np.bincount(at, minlength=self.n), cols[by_row], vals[by_row], code[order],
+                          rhs[order], provenance)
 
 
 def _join(blocks: List[tuple], f: int) -> np.ndarray:
@@ -535,9 +543,9 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[[MilpModel, _Lowering
     nonzero coefficients, as the passes write theirs."""
     _reject_invalid(model)
     b = MilpModel(name=f"{model.name or 'model'}_{pass_name}")
-    for v in model.vars:
-        b.add_cont(v.name, v.lower, v.upper)
-    ymap = [b.add_bin(nm) for nm in model.bools]
+    b.variables += [MilpVar(v.name, float(v.lower), float(v.upper)) for v in model.vars]
+    b.variables += [MilpVar(name, 0.0, 1.0, True) for name in model.bools]
+    ymap = range(len(model.vars), len(b.variables))
     for gi, row in enumerate(model.global_rows):
         coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
         b.add_row(coeffs, row.sense, float(row.rhs), f"global[{gi}]")
@@ -554,11 +562,10 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[[MilpModel, _Lowering
     top = _row_maxima(form, lo, hi)
     ycol = np.array([ymap[d.indicator] for disj in disjunctions for d in disj.disjuncts], dtype=np.intp)
     tags = [f"d{k}" + (f"({disj.label})" if disj.label else "") for k, disj in enumerate(disjunctions)]
-    low = _Lowering(form, top, form.rhs < top, ycol, tags, lo, hi,
-                    [v.name for v in model.vars])
+    low = _Lowering(form, top, form.rhs < top, ycol, tags, lo, hi, [v.name for v in model.vars])
     out = _Rows()
     emit(b, low, out)
-    ids = out.add(np.arange(len(tags)), 3, 0, 0, EQ_CODE, 1.0, [f"{pass_name}:{t}:xor" for t in tags])
+    ids = out.add(np.arange(len(tags)), 3, 0, 0, EQ_CODE, 1.0, lambda: [f"{pass_name}:{t}:xor" for t in tags])
     out.entries(np.repeat(ids, counts), ycol, 1.0)
     out.into(b)
     return b
@@ -577,7 +584,7 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
         f, g = low.form, low.written.nonzero()[0]
         rhs = f.rhs[g]
         m = low.top[g] - rhs  # big_m_bound of each row, above 0
-        ids = out.add(f.k[g], 0, g, 0, LE_CODE, rhs + m, low.provenance("bigm", g))
+        ids = out.add(f.k[g], 0, g, 0, LE_CODE, rhs + m, lambda: low.provenance("bigm", g))
         nz, at = _entries(f.start, g)
         out.entries(ids[at], f.cols[nz], f.vals[nz])
         out.entries(ids, low.ycol[f.gd[g]], m)
@@ -615,7 +622,7 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
         # the copies: one per disjunct and variable of its written rows
         gd = f.gd[g]
         key = gd[at] * nv + f.cols[nz]
-        copies = _unique(key)
+        copies = np.unique(key)
         cgd, cv = np.divmod(copies, nv)
         ck = f.dk[cgd]
         cj = cgd - f.doff[ck]
@@ -630,7 +637,7 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
         )
         # each written row in its disjunct's copies: a^T x^j - rhs y_j <= 0
         rhs = f.rhs[g]
-        ids = out.add(f.k[g], 0, gd, g, LE_CODE, 0.0, low.provenance("hull", g))
+        ids = out.add(f.k[g], 0, gd, g, LE_CODE, 0.0, lambda: low.provenance("hull", g))
         out.entries(ids[at], ccol[copies.searchsorted(key)], f.vals[nz])
         cut = (rhs != 0.0).nonzero()[0]
         out.entries(ids[cut], low.ycol[gd[cut]], -rhs[cut])
@@ -639,15 +646,18 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
         R, cy = len(f.rhs), low.ycol[cgd]
         for side, bound, sign, rank in (("ub", chi, 1.0, 0), ("lb", clo, -1.0, 1)):
             s = (bound != 0.0).nonzero()[0]
-            prov = [f"hull:{tags[k]}:j{j}:{side}[{v}]"
-                    for k, j, v in zip(ck[s].tolist(), cj[s].tolist(), cv[s].tolist())]
+
+            def prov(side=side, s=s) -> List[str]:
+                return [f"hull:{tags[k]}:j{j}:{side}[{v}]"
+                        for k, j, v in zip(ck[s].tolist(), cj[s].tolist(), cv[s].tolist())]
+
             ids = out.add(ck[s], 0, cgd[s], R + 2 * cv[s] + rank, LE_CODE, 0.0, prov)
             out.entries(ids, ccol[s], sign)
             out.entries(ids, cy[s], -sign * bound[s])
         # aggregation, per disjunction and variable with a copy: one entry
         # per disjunct of the disjunction, its copy or, when it has none,
         # its indicator times the bound
-        pairs = _unique(ck * nv + cv)
+        pairs = np.unique(ck * nv + cv)
         pk, pv = np.divmod(pairs, nv)
         J = f.doff[pk + 1] - f.doff[pk]
         pe = np.repeat(np.arange(len(pairs)), J)
@@ -657,15 +667,19 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
         has = copies[ci] == ekey
         full = np.bincount(pe, has, len(pairs)) == J
         ecol = np.where(has, ccol[ci], low.ycol[egd])
-        up = [f"hull:{tags[k]}:{'agg' if a else 'aggub'}[{v}]"
-              for k, v, a in zip(pk.tolist(), pv.tolist(), full.tolist())]
+        def up() -> List[str]:
+            return [f"hull:{tags[k]}:{'agg' if a else 'aggub'}[{v}]"
+                    for k, v, a in zip(pk.tolist(), pv.tolist(), full.tolist())]
+
         ids = out.add(pk, 1, pv, 0, np.where(full, EQ_CODE, LE_CODE), 0.0, up)
         out.entries(ids, pv, 1.0)
         bound = -low.hi[pv[pe]]
         s = (has | (bound != 0.0)).nonzero()[0]
         out.entries(ids[pe[s]], ecol[s], np.where(has[s], -1.0, bound[s]))
         part = (~full).nonzero()[0]
-        down = [f"hull:{tags[k]}:agglb[{v}]" for k, v in zip(pk[part].tolist(), pv[part].tolist())]
+        def down() -> List[str]:
+            return [f"hull:{tags[k]}:agglb[{v}]" for k, v in zip(pk[part].tolist(), pv[part].tolist())]
+
         lb_ids = np.zeros(len(pairs), dtype=np.intp)
         lb_ids[part] = out.add(pk[part], 1, pv[part], 1, LE_CODE, 0.0, down)
         out.entries(lb_ids[part], pv[part], -1.0)
@@ -710,9 +724,11 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
                 f"disjunction {low.tags[bad[0]]} does not share a left-hand side; align it first"
             )
         g0 = np.arange(len(f.rhs)) - f.rowoff[f.gd] + f.rowoff[f.doff[f.k]]  # the same row of the first disjunct
+        # written unless the box implies it in every disjunct, all compared
+        # with the first disjunct's maximum
         cut = np.bincount(g0[f.rhs < low.top[g0]], minlength=len(g0)) > 0
         r0 = cut.nonzero()[0]
-        ids = out.add(f.k[r0], 0, r0, 0, LE_CODE, 0.0, low.provenance("rhr", r0, disjunct=False))
+        ids = out.add(f.k[r0], 0, r0, 0, LE_CODE, 0.0, lambda: low.provenance("rhr", r0, disjunct=False))
         nz, at = _entries(f.start, r0)
         out.entries(ids[at], f.cols[nz], f.vals[nz])
         row_id = np.zeros(len(g0), dtype=np.intp)

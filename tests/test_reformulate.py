@@ -30,6 +30,7 @@ from gldp import (
     check_assignment,
     gen_scheduling,
     gen_strip,
+    interval_max,
     reformulate_bigm,
     reformulate_hull,
     reformulate_rhr,
@@ -41,7 +42,8 @@ from gldp import (
     validate,
 )
 from gldp.milp import LpEngine
-from gldp.reformulate import EMPTY_TOL, _difference_closures, _difference_form
+from gldp.model import _canonical_block
+from gldp.reformulate import EMPTY_TOL, _difference_closures, _difference_form, _row_maxima
 
 
 def interval_union_model():
@@ -996,3 +998,25 @@ def test_equality_halves_are_named_apart():
     (row,) = [r for r in reformulate_bigm(build_ts(gen_scheduling(3, 1))).rows
               if r.provenance == "bigm:d0(slot(0)):j0:r1"]
     assert {v: a for v, a in row.coeffs.items() if v < 4} == {0: -1.0} and row.rhs + 6.0 == row.coeffs[4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 11), st.floats(-1e3, 1e3).filter(bool)),
+            min_size=1, max_size=12, unique_by=lambda t: t[0],
+        ),
+        min_size=1, max_size=6,
+    ),
+    st.lists(st.tuples(st.floats(-1e3, 0.0), st.floats(0.0, 1e3)), min_size=12, max_size=12),
+)
+def test_row_maxima_are_interval_max_to_the_bit(rows, box):
+    """The lowering's row maxima add each row's terms in coefficient order,
+    as interval_max does; a pairwise sum differs in the last bit on some
+    rows of more than eight terms."""
+    disj = Disjunction([Disjunct(0, [LinRow(dict(r), 1.0) for r in rows]), Disjunct(1, [])])
+    lo, hi = np.array(box).T
+    boxes = dict(enumerate(box))
+    want = [interval_max(r.coeffs, boxes) for r in canonicalize_rows(disj.disjuncts[0]).rows]
+    assert _row_maxima(_canonical_block([disj]), lo, hi).tolist() == want
