@@ -486,8 +486,9 @@ class _Rows:
     """MILP rows written in any order, as blocks of arrays.  Each row has a
     sort key, its disjunction and three ranks within it, and each entry the
     id of its row; :meth:`into` appends the rows to a model sorted by key,
-    each with its entries in the order they were given.  Any field of a
-    block may be one value for all of its rows or entries."""
+    each with its entries in the order they were given, and their
+    provenance to be made when it is first read.  Any field of a block but
+    the disjunctions may be one value for all of its rows or entries."""
 
     def __init__(self) -> None:
         self.n = 0
