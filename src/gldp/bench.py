@@ -319,7 +319,13 @@ def records_from_csv(text: str) -> List[BenchRecord]:
     for row in reader:
         if len(row) != len(CSV_FIELDS):
             raise ValueError(f"CSV line {reader.line_num}: {len(row)} fields, expected {len(CSV_FIELDS)}")
-        records.append(BenchRecord(*(typ(value) for typ, value in zip(_CSV_TYPES, row))))
+        values = []
+        for name, typ, value in zip(CSV_FIELDS, _CSV_TYPES, row):
+            try:
+                values.append(typ(value))
+            except ValueError as e:
+                raise ValueError(f"CSV line {reader.line_num}, field {name!r}: {e}") from None
+        records.append(BenchRecord(*values))
     return records
 
 

@@ -2,8 +2,9 @@
 
 One :class:`LpEngine` holds the LP relaxation of a MILP (binaries relaxed to
 [0, 1]) as a persistent HiGHS model, built once from the arrays of the
-MILP's row store, which HiGHS takes row-wise as they are; no row is read in
-Python.  Every later solve only
+MILP's row store, which the array overload of ``passModel`` hands HiGHS
+row-wise as they are; no row is read in Python, and no ``HighsLp`` is
+built.  Every later solve only
 changes column bounds and re-runs HiGHS dual simplex, which returns an
 optimal basic solution.  No LP is presolved, cold or warm: on these models
 HiGHS's presolve costs more than the simplex solve it prepares.  The dual
@@ -137,25 +138,19 @@ class LpEngine:
             s.kUnbounded: "unbounded",
             s.kTimeLimit: "time_limit",
         }
-        lp = highs.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = len(row_lower)
         cost = np.zeros(n)
         cost[list(model.objective)] = list(model.objective.values())
-        lp.col_cost_ = cost
-        lp.col_lower_ = self.lower
-        lp.col_upper_ = self.upper
-        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-        lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = len(row_lower)
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = index
-        lp.a_matrix_.value_ = value
         self.highs = highs._Highs()
-        for key, value in LP_OPTIONS.items():
-            self.highs.setOptionValue(key, value)
-        if self.highs.passModel(lp) == highs.HighsStatus.kError:
+        for key, option in LP_OPTIONS.items():
+            self.highs.setOptionValue(key, option)
+        # The array overload: int32 starts and indices, float64 for the rest,
+        # and a full-length integrality array (all continuous).
+        status = self.highs.passModel(
+            n, len(row_lower), len(index), int(highs.MatrixFormat.kRowwise), int(highs.ObjSense.kMinimize),
+            0.0, cost, self.lower, self.upper, row_lower, row_upper, start, index, value,
+            np.zeros(n, np.int32),
+        )
+        if status == highs.HighsStatus.kError:
             raise RuntimeError(f"HiGHS rejected the LP of model {model.name!r}")
 
     def solve(

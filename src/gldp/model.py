@@ -15,9 +15,14 @@ at a time; ``MilpModel.rows`` is a read-only view of the store as
 :class:`LinRow` objects, built when it is first read after a change.
 
 A disjunction's canonical rows (:func:`canonicalize_rows`, every disjunct
-at once) are kept as :class:`CanonicalRows` arrays, cached on the frozen
+at once) are kept as :class:`CanonicalRows` arrays, made in numpy from the
+rows of all of a model's disjunctions at once and cached on the frozen
 :class:`Disjunction` by :func:`canonical_form`, or set by ``align_model``
-for the disjunctions it makes.
+for the disjunctions it makes.  The form is made once: a row changed after
+that changes neither what the passes write nor what :func:`validate`
+checks.  The disjuncts that ``align_model`` makes are views of their form,
+as ``MilpModel.rows`` is of the row store: their ``rows`` are built as
+:class:`LinRow` objects when first read (:func:`shared_disjunctions`).
 
 Global, disjunct, logic and MILP rows are all of one type, :class:`LinRow`,
 and :func:`row_range` is the one place where a row sense gets its meaning:
@@ -34,8 +39,8 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, le
+from itertools import chain, count, repeat
+from operator import attrgetter, is_, itemgetter, le
 from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,7 +104,13 @@ class LinRow:
 
 @dataclass(frozen=True)
 class Disjunct:
-    """One alternative of a disjunction: an indicator plus its linear rows."""
+    """One alternative of a disjunction: an indicator plus its linear rows.
+
+    A disjunct that ``align_model`` makes is a view: its ``rows`` are made
+    from its disjunction's canonical form when first read (see
+    :func:`shared_disjunctions`), and are then the same tuple of
+    :class:`LinRow` as any other disjunct's.
+    """
 
     indicator: BoolId
     rows: Tuple[LinRow, ...]
@@ -107,6 +118,16 @@ class Disjunct:
     def __init__(self, indicator: BoolId, rows: Iterable[LinRow]):
         object.__setattr__(self, "indicator", indicator)
         object.__setattr__(self, "rows", tuple(rows))
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the rows of a
+        # view, on their first read.
+        view = self.__dict__.pop("_view", None) if name == "rows" else None
+        if view is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, g = view
+        object.__setattr__(self, "rows", rows.disjunct(g))
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -121,6 +142,7 @@ class Disjunction:
 
     disjuncts: Tuple[Disjunct, ...]
     label: str = ""
+    _canonical = None  # (block, position) once the canonical form is made; not a field
 
     def __init__(self, disjuncts: Iterable[Disjunct], label: str = ""):
         object.__setattr__(self, "disjuncts", tuple(disjuncts))
@@ -151,55 +173,19 @@ class GdpModel:
         return len(self.bools)
 
 
-def _as_le_rows(row: LinRow) -> List[LinRow]:
-    """Rewrite a row as one or two ``<=`` rows with zero coefficients dropped.
-
-    A row that is already canonical (``<=``, float coefficients, none zero,
-    a float right-hand side, no provenance) is returned as it is.
-    """
-    values = row.coeffs.values()
-    if (
-        row.sense == LE
-        and type(row.rhs) is float
-        and not row.provenance
-        and set(map(type, values)) == {float}
-        and 0.0 not in values
-    ):
-        return [row]
-    coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
-    lo, hi = row_range(row.sense, float(row.rhs))
-    rows: List[LinRow] = []
-    if hi < math.inf:
-        rows.append(LinRow(coeffs, hi))
-    if lo > -math.inf:
-        rows.append(LinRow({v: -a for v, a in coeffs.items()}, -lo))
-    return rows
-
-
-def _canonical_entries(disjunct: Disjunct) -> List[Tuple[tuple, float, int, int, LinRow]]:
-    """The canonical rows of a disjunct (see :func:`canonicalize_rows`), in
-    order, each as its sorted coefficient items, its right-hand side, the
-    index of the disjunct's row it comes from, its half (1 for the ``>=``
-    side of an equality, else 0) and the row.  No two entries tie before
-    the row: the halves of an equality differ in their items."""
-    entries = [
-        (tuple(sorted(r.coeffs.items())), r.rhs, i, h, r)
-        for i, row in enumerate(disjunct.rows)
-        for h, r in enumerate(_as_le_rows(row))
-    ]
-    entries.sort()
-    return entries
-
-
 def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
     """Normalize a disjunct to ``<=``-only rows in a deterministic order.
 
-    ``>=`` rows are negated, equalities are split into a ``<=`` pair, and the
-    result is sorted lexicographically by coefficient vector with ties broken
-    by right-hand side.  The operation is idempotent and preserves the
-    disjunct's feasible set.
+    ``>=`` rows are negated, equalities are split into a ``<=`` pair, zero
+    coefficients are dropped, and the result is sorted lexicographically by
+    sorted coefficient items with ties broken by right-hand side, then by
+    the source row.  The operation is idempotent and preserves the
+    disjunct's feasible set.  An unknown sense raises ``ValueError``.
     """
-    return Disjunct(disjunct.indicator, [e[-1] for e in _canonical_entries(disjunct)])
+    f = _canonical_block([Disjunction([disjunct])])
+    st, cl, vl = f.start.tolist(), f.cols.tolist(), f.vals.tolist()
+    coeffs = [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(st, st[1:])]
+    return Disjunct(disjunct.indicator, map(LinRow, coeffs, f.rhs.tolist()))
 
 
 class CanonicalRows(NamedTuple):
@@ -234,48 +220,100 @@ class CanonicalRows(NamedTuple):
 
 
 def canonical_rows(
-    start: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, disjunct: np.ndarray,
-    source: np.ndarray, half: np.ndarray, first: np.ndarray, counts: Sequence[int],
+    start: np.ndarray, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray, gd: np.ndarray,
+    source: np.ndarray, half: np.ndarray, doff: np.ndarray,
 ) -> CanonicalRows:
-    """A :class:`CanonicalRows` of the given arrays, whose disjunctions have
-    ``counts`` disjuncts, with the index arrays computed."""
-    K = len(counts)
-    doff = np.zeros(K + 1, dtype=np.intp)
-    doff[1:] = np.cumsum(counts)
-    k = np.repeat(np.arange(K), first[1:] - first[:-1])
-    gd = doff[k] + disjunct
-    rowoff = np.zeros(doff[-1] + 1, dtype=np.intp)
-    rowoff[1:] = np.bincount(gd, minlength=doff[-1]).cumsum()
-    dk = np.repeat(np.arange(K), counts)
-    return CanonicalRows(start, cols, vals, rhs, disjunct, source, half, first, k, gd, dk, doff, rowoff)
+    """A :class:`CanonicalRows` of the given arrays, with each row's
+    disjunct ``gd`` numbered over the run (ascending) and disjunction ``k``
+    holding disjuncts ``doff[k]:doff[k + 1]``, the other index arrays
+    computed."""
+    dk = np.arange(len(doff) - 1).repeat(doff[1:] - doff[:-1])
+    k = dk[gd]
+    rowoff = gd.searchsorted(np.arange(doff[-1] + 1))
+    return CanonicalRows(start, cols, vals, rhs, gd - doff[k], source, half, rowoff[doff], k, gd, dk, doff, rowoff)
+
+
+def _entries(start: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The positions of the entries of ``rows`` in a CSR with row starts
+    ``start``, row after row, and the index into ``rows`` of each."""
+    first = start[rows]
+    lens = start[rows + 1] - first
+    at = np.arange(len(rows)).repeat(lens)
+    return (first - lens.cumsum() + lens)[at] + np.arange(len(at)), at
+
+
+_SENSE_CODE = {s: c for c, s in enumerate(SENSES)}
+_EQ_CODE = _SENSE_CODE[EQ]
+# by sense code: whether a row has a <= side (a finite upper end) and a >= side
+_SIDES = np.isfinite([row_range(s, 0.0)[::-1] for s in SENSES])
 
 
 def _canonical_block(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
-    """The canonical rows of ``disjunctions``, made from their rows."""
-    rows: List[LinRow] = []
-    tags: List[Tuple[int, int, int]] = []
-    first = [0]
-    for disj in disjunctions:
-        for j, d in enumerate(disj.disjuncts):
-            for _, _, i, h, r in _canonical_entries(d):
-                rows.append(r)
-                tags.append((j, i, h))
-        first.append(len(rows))
+    """The canonical rows of ``disjunctions`` (see :func:`canonicalize_rows`),
+    made from their rows.
+
+    One pass reads every disjunct row's coefficients, right-hand side and
+    sense into flat arrays.  Each row then gives its ``<=`` side and its
+    negated ``>=`` side, where it has one, with zero coefficients dropped
+    and the rest in the order of the row's dict.  One ``np.lexsort`` puts
+    each disjunct's rows in the order of Python's tuples ``(sorted items,
+    rhs, source row, half)``: the items are padded with a variable below
+    every column, so that a prefix sorts first.
+    """
+    per_disjunct = [d.rows for disj in disjunctions for d in disj.disjuncts]
+    rows = list(chain.from_iterable(per_disjunct))
     coeffs = list(map(attrgetter("coeffs"), rows))
-    start = np.zeros(len(rows) + 1, dtype=np.intp)
-    start[1:] = np.fromiter(map(len, coeffs), np.intp, len(rows)).cumsum()
-    j, i, h = np.array(tags, dtype=np.intp).reshape(-1, 3).T
-    return canonical_rows(
-        start,
-        np.fromiter(chain.from_iterable(coeffs), np.intp, start[-1]),
-        np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, start[-1]),
-        np.fromiter(map(attrgetter("rhs"), rows), float, len(rows)),
-        j,
-        i,
-        h.astype(bool),
-        np.array(first, dtype=np.intp),
-        [len(d.disjuncts) for d in disjunctions],
-    )
+    R = len(rows)
+    start = np.zeros(R + 1, dtype=np.intp)
+    np.fromiter(map(len, coeffs), np.intp, R).cumsum(out=start[1:])
+    cols = np.fromiter(chain.from_iterable(coeffs), np.intp, start[-1])
+    vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, start[-1])
+    rhs = np.fromiter(map(attrgetter("rhs"), rows), float, R)
+    senses = list(map(attrgetter("sense"), rows))
+    try:
+        code = np.fromiter(map(_SENSE_CODE.__getitem__, senses), np.intp, R)
+    except (KeyError, TypeError):
+        for sense in senses:
+            row_range(sense, 0.0)  # raises ValueError on the first unknown sense
+        raise
+    # each source row's disjunct, numbered over the block, and its index there
+    nrows = np.fromiter(map(len, per_disjunct), np.intp, len(per_disjunct))
+    row_g = np.arange(len(nrows)).repeat(nrows)
+    row_i = np.arange(R) - (nrows.cumsum() - nrows).repeat(nrows)
+
+    # the canonical rows, unsorted: each source row's <= side, then its
+    # negated >= side
+    src, side = _SIDES[code].nonzero()
+    half = side.astype(bool) & (code[src] == _EQ_CODE)
+    sign = 1.0 - 2.0 * side
+    nz, at = _entries(start, src)
+    keep = vals[nz] != 0.0
+    nz, at = nz[keep], at[keep]
+    cols, vals, rhs = cols[nz], vals[nz] * sign[at], rhs[src] * sign
+    ustart = np.zeros(len(src) + 1, dtype=np.intp)
+    np.bincount(at, minlength=len(src)).cumsum(out=ustart[1:])
+    g, i = row_g[src], row_i[src]
+
+    # sort key columns: the sorted (variable, coefficient) items, padded
+    by_var = np.lexsort((cols, at))
+    row = at[by_var]
+    p = np.arange(len(row)) - ustart[row]
+    width = int(p.max(initial=-1)) + 1
+    var = np.full((len(src), width), min(int(cols.min(initial=0)), 0) - 1)
+    coef = np.zeros((len(src), width))
+    var[row, p] = cols[by_var]
+    coef[row, p] = vals[by_var]
+    keys = [half, i, rhs]
+    for q in range(width - 1, -1, -1):
+        keys += [coef[:, q], var[:, q]]
+    order = np.lexsort(keys + [g])
+
+    cstart = np.zeros(len(order) + 1, dtype=np.intp)
+    (ustart[1:] - ustart[:-1])[order].cumsum(out=cstart[1:])
+    nz, _ = _entries(ustart, order)
+    doff = np.zeros(len(disjunctions) + 1, dtype=np.intp)
+    np.cumsum([len(d.disjuncts) for d in disjunctions], out=doff[1:])
+    return canonical_rows(cstart, cols[nz], vals[nz], rhs[order], g[order], i[order], half[order], doff)
 
 
 def canonical_form(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
@@ -287,16 +325,31 @@ def canonical_form(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
     them are canonicalized in one batch, and the new block becomes their
     cached form.  ``align_model`` sets the form of the disjunctions it
     makes, so an aligned model is never canonicalized from its rows.
+
+    The form is made once: a row changed after that changes neither what
+    the passes write nor what :func:`validate` checks, which both read the
+    form.  Make it only of rows that ``validate`` accepts: it holds their
+    values as ``float`` and their columns as integers.
     """
-    cached = [d.__dict__.get("_canonical") for d in disjunctions]
-    block = cached[0][0] if cached and cached[0] is not None else None
-    if block is not None and len(block.first) == len(cached) + 1 and all(
-        c is not None and c[0] is block and c[1] == k for k, c in enumerate(cached)
-    ):
-        return block
-    block = _canonical_block(disjunctions)
-    set_canonical_form(disjunctions, block)
+    block = _cached_form(disjunctions)
+    if block is None:
+        block = _canonical_block(disjunctions)
+        set_canonical_form(disjunctions, block)
     return block
+
+
+def _cached_form(disjunctions: Sequence[Disjunction]) -> Optional[CanonicalRows]:
+    """The cached block of ``disjunctions`` when they are exactly one, in
+    order, else None."""
+    cached = list(map(_CACHED, disjunctions))
+    if not cached or None in cached or len(cached[0][0].first) != len(cached) + 1:
+        return None
+    block = cached[0][0]
+    same = all(map(is_, map(itemgetter(0), cached), repeat(block)))
+    return block if same and list(map(itemgetter(1), cached)) == list(range(len(cached))) else None
+
+
+_CACHED = attrgetter("_canonical")
 
 
 def set_canonical_form(disjunctions: Sequence[Disjunction], block: CanonicalRows) -> None:
@@ -304,6 +357,52 @@ def set_canonical_form(disjunctions: Sequence[Disjunction], block: CanonicalRows
     be its disjunctions in order."""
     for k, d in enumerate(disjunctions):
         d.__dict__["_canonical"] = (block, k)
+
+
+class _SharedRows:
+    """The rows of the disjuncts of a block of canonical rows whose
+    disjunctions share one coefficient matrix, made on the first read of
+    any of them: row ``q`` of every disjunct of a disjunction holds the
+    coefficient dict of row ``q`` of its first disjunct."""
+
+    def __init__(self, form: CanonicalRows):
+        self.form = form
+        self.rows: Optional[List[Tuple[LinRow, ...]]] = None
+
+    def disjunct(self, g: int) -> Tuple[LinRow, ...]:
+        if self.rows is None:
+            f = self.form
+            st, cl, vl, rl = f.start.tolist(), f.cols.tolist(), f.vals.tolist(), f.rhs.tolist()
+            ro, do = f.rowoff.tolist(), f.doff.tolist()
+            self.rows = []
+            for a, b in zip(do, do[1:]):
+                coeffs = [dict(zip(cl[st[r]:st[r + 1]], vl[st[r]:st[r + 1]])) for r in range(ro[a], ro[a + 1])]
+                self.rows += (tuple(map(LinRow, coeffs, rl[ro[g]:ro[g + 1]])) for g in range(a, b))
+        return self.rows[g]
+
+
+def shared_disjunctions(form: CanonicalRows, like: Sequence[Disjunction]) -> List[Disjunction]:
+    """The disjunctions of ``form``, with the labels and indicators of
+    ``like``, where every disjunct of a disjunction has the same
+    coefficient vectors, row by row.
+
+    ``form`` becomes their cached canonical form.  Each disjunct is a view:
+    its rows, ``sum(vals[p] * x[cols[p]]) <= rhs[r]`` with the form's
+    ``float`` rhs and coefficient dicts, are made when the rows of any
+    disjunct of the block are first read.
+    """
+    source = _SharedRows(form)
+    g = count()
+    disjunctions = []
+    for disj in like:
+        disjuncts = []
+        for d in disj.disjuncts:
+            view = object.__new__(Disjunct)
+            view.__dict__.update(indicator=d.indicator, _view=(source, next(g)))
+            disjuncts.append(view)
+        disjunctions.append(Disjunction(disjuncts, disj.label))
+    set_canonical_form(disjunctions, form)
+    return disjunctions
 
 
 # Builtins first, so the common case skips the slower abstract-class check.
@@ -336,10 +435,14 @@ def validate(model: GdpModel) -> List[str]:
     A bulk check runs first.  It gathers every bound, index, coefficient and
     right-hand side into flat lists and tests each list at once: the set of
     its types, its minimum and maximum index, whether its sum is finite,
-    and duplicate names through a set.  When that passes the model is well
-    formed.  Otherwise the model is walked row by row, which writes the
-    diagnostics; a value the bulk check does not take (a ``Fraction``, a
-    ``numpy`` scalar, a bool) may still be valid there.
+    and duplicate names through a set.  When the disjunctions are one
+    cached canonical form (see :func:`canonical_form`), as every aligned
+    model's are, the bulk check reads its arrays in place of the disjunct
+    rows: every value and right-hand side finite, every column in range,
+    no row empty.  When that passes the model is well formed.  Otherwise
+    the model is walked row by row, which writes the diagnostics; a value
+    the bulk check does not take (a ``Fraction``, a ``numpy`` scalar, a
+    bool) may still be valid there.
     """
     if _bulk_valid(model):
         return []
@@ -374,10 +477,19 @@ def _bulk_valid(model: GdpModel) -> bool:
     nv, nb = len(model.vars), len(model.bools)
     lowers = [v.lower for v in model.vars]
     uppers = [v.upper for v in model.vars]
-    disjuncts = list(chain.from_iterable(d.disjuncts for d in model.disjunctions))
+    per_disjunction = list(map(attrgetter("disjuncts"), model.disjunctions))
+    counts = list(map(len, per_disjunction))
+    disjuncts = list(chain.from_iterable(per_disjunction))
     if not set(map(type, disjuncts)) <= {Disjunct}:
         return False
-    rows = list(chain(model.global_rows, chain.from_iterable(map(attrgetter("rows"), disjuncts))))
+    indicators = list(map(attrgetter("indicator"), disjuncts))
+    # the disjunct rows: their cached canonical form, else the rows
+    form = _cached_form(model.disjunctions)
+    rows = list(model.global_rows)
+    if form is None:
+        rows += chain.from_iterable(map(attrgetter("rows"), disjuncts))
+    elif not _valid_form(form, nv):
+        return False
     if not set(map(type, chain(rows, model.logic))) <= {LinRow}:
         return False
     coeffs = list(map(attrgetter("coeffs"), rows))
@@ -403,17 +515,27 @@ def _bulk_valid(model: GdpModel) -> bool:
         and senses <= set(SENSES)
         and _indices(list(chain.from_iterable(coeffs)), nv)
         and _indices(list(model.objective), nv)
-        and all(len(d.disjuncts) >= 2 for d in model.disjunctions)
-        and _indices(list(map(attrgetter("indicator"), disjuncts)), nb)
-        and all(
-            len(set(map(attrgetter("indicator"), d.disjuncts))) == len(d.disjuncts)
-            for d in model.disjunctions
-        )
+        and min(counts, default=2) >= 2
+        and _indices(indicators, nb)
+        # no indicator twice in one disjunction
+        and len(set(zip(chain.from_iterable(map(repeat, range(len(counts)), counts)), indicators)))
+        == len(indicators)
         and logic_senses <= {LE, EQ}
         and _indices(list(chain.from_iterable(logic)), nb)
         and all(type(a) is int or (type(a) is float and a.is_integer()) for a in logic_values)
         and set(map(type, names)) <= {str}
         and len(set(names)) == len(names)
+    )
+
+
+def _valid_form(form: CanonicalRows, nv: int) -> bool:
+    """True when every row of ``form`` has a coefficient, every column is
+    in ``range(nv)`` and every value and right-hand side is finite."""
+    return bool(
+        (form.start[1:] > form.start[:-1]).all()
+        and np.isfinite(form.vals).all()
+        and np.isfinite(form.rhs).all()
+        and (not form.cols.size or (form.cols.min() >= 0 and form.cols.max() < nv))
     )
 
 

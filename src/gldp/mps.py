@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from .model import EQ, GE, LE, MilpModel
+from .model import EQ, GE, LE, MilpModel, row_range
 
 _SENSE_TO_ROW = {LE: "L", GE: "G", EQ: "E"}
 _MARKER = "    MARKER                 'MARKER'                 "
@@ -37,11 +37,22 @@ def _sanitized_names(model: MilpModel) -> List[str]:
     return names
 
 
+def _row_kind(model: MilpModel, c: int, sense: str) -> str:
+    """The MPS row type of sense code ``c``; an unknown sense raises the
+    ``ValueError`` of :func:`row_range`, naming the first row that has it."""
+    try:
+        row_range(sense, 0.0)
+    except ValueError as e:
+        ri = int((model.store.arrays()[3] == c).argmax())
+        raise ValueError(f"row R{ri} ({model.store.provenance[ri]}): {e}") from None
+    return _SENSE_TO_ROW[sense]
+
+
 def to_mps_string(model: MilpModel) -> str:
     """Render the model as free-format MPS text."""
     names = _sanitized_names(model)
     start, cols, vals, code, rhs = model.store.arrays()
-    kinds = [_SENSE_TO_ROW[s] for s in model.store.senses[: code.max(initial=-1) + 1]]
+    kinds = [_row_kind(model, c, s) for c, s in enumerate(model.store.senses[: code.max(initial=-1) + 1])]
     lines: List[str] = [f"NAME          {model.name or 'GLDP'}"]
     lines.append("ROWS")
     lines.append(" N  OBJ")

@@ -51,7 +51,9 @@ does not make the right-hand sides support values.  It works in one batch
 per shape of disjunction: the difference bounds of all disjunctions with the
 same number of variables and the same row keys are stacked into one numpy
 array, closed by one Floyd-Warshall pass, and every support value is read
-from that stack.
+from that stack.  It reads the source rows from their canonical form and
+builds no :class:`LinRow`: the aligned disjuncts' rows are made from the
+aligned canonical form when they are first read.
 
 The reaggregated root equals the hull root when each disjunction is aligned
 from difference rows (``x_a - x_b <= c``, ``±x_a <= c``) whose variables
@@ -68,7 +70,7 @@ import functools
 import math
 from dataclasses import replace
 from itertools import chain
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,17 +79,16 @@ from .model import (
     LE,
     SENSES,
     CanonicalRows,
-    Disjunct,
     Disjunction,
     GdpModel,
     LinRow,
     MilpModel,
     MilpVar,
     _canonical_block,
-    _canonical_entries,
+    _entries,
     canonical_form,
     canonical_rows,
-    set_canonical_form,
+    shared_disjunctions,
     validate,
 )
 
@@ -241,20 +242,20 @@ def _layout(shape: tuple) -> _Layout:
 
 
 def _align_shape(
-    shape: tuple, members: Sequence[Tuple[List[int], List[Sequence[LinRow]]]], lo: np.ndarray, hi: np.ndarray
+    shape: tuple, rhs: np.ndarray, dv: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support values of a stack of disjunctions of one shape.
 
-    ``members`` holds each disjunction's sorted variables and canonical
-    rows.  Returns the ``(K, J, Q)`` right-hand sides of each disjunct's
-    rows over the shape's keys (``_layout(shape).keys``), the ``(K, J)``
-    mask of empty disjuncts and the ``(K, Q)`` mask of the keys that some
-    disjunct's right-hand side cuts below the key's interval maximum.
+    ``rhs`` holds the ``(K, R)`` right-hand sides of each disjunction's
+    canonical rows, disjunct by disjunct, and ``dv`` its ``(K, n)`` sorted
+    variables.  Returns the ``(K, J, Q)`` right-hand sides of each
+    disjunct's rows over the shape's keys (``_layout(shape).keys``), the
+    ``(K, J)`` mask of empty disjuncts and the ``(K, Q)`` mask of the keys
+    that some disjunct's right-hand side cuts below the key's interval
+    maximum.
     """
     lay = _layout(shape)
-    n, J, Q, K = shape[0], len(shape) - 1, len(lay.keys), len(members)
-    rhs = np.array([[r.rhs for rs in canon for r in rs] for _, canon in members], dtype=float).reshape(K, -1)
-    dv = np.array([dvars for dvars, _ in members], dtype=np.intp).reshape(K, n)
+    n, J, Q, K = shape[0], len(shape) - 1, len(lay.keys), len(rhs)
     klo, khi = lo[dv], hi[dv]
 
     # interval_max of every key, summed over the variables in sorted order
@@ -303,11 +304,15 @@ def align_model(model: GdpModel) -> GdpModel:
     order).  The disjunctions of one shape are stacked into one
     ``(K, J, n+1, n+1)`` array of difference bounds, with the boxes on a
     zero node, and one Floyd-Warshall pass closes the whole stack; every
-    support value is then read from it by array indexing.  The aligned
-    rows of the whole model are laid out as one block of canonical rows
-    (see ``gldp.model.CanonicalRows``), which becomes the aligned
-    disjunctions' cached canonical form; only the :class:`LinRow` objects
-    of the result are built one by one.
+    support value is then read from it by array indexing.  The source
+    rows are read from the model's canonical form
+    (``gldp.model.canonical_form``), and each shape is found from its
+    arrays.  The aligned rows of the whole model are laid out as one block
+    of canonical rows (see ``gldp.model.CanonicalRows``), which becomes the
+    aligned disjunctions' cached canonical form.  No :class:`LinRow` of an
+    aligned disjunct is built here: each aligned disjunct is a view whose
+    rows are made from that block when first read
+    (``gldp.model.shared_disjunctions``).
 
     When the closure finds ``B ∩ D_j`` empty, ``D_j`` keeps its own rows and
     gets interval maxima for the rest, and a logic row ``y_j <= 0`` fixes
@@ -323,32 +328,47 @@ def align_model(model: GdpModel) -> GdpModel:
     _reject_invalid(model)
     lo = np.array([v.lower for v in model.vars], dtype=float)
     hi = np.array([v.upper for v in model.vars], dtype=float)
-    parts: List[Tuple[List[int], List[Sequence[LinRow]]]] = []
+    src = canonical_form(model.disjunctions)
+    K, nv = len(model.disjunctions), max(len(model.vars), 1)
+    # Each disjunction's sorted variables, and each entry's rank among them.
+    lens = src.start[1:] - src.start[:-1]
+    erow = np.arange(len(lens)).repeat(lens)
+    ek = src.k[erow]
+    ekey = ek * nv + src.cols
+    pairs = np.unique(ekey)
+    voff = np.zeros(K + 1, dtype=np.intp)
+    np.bincount(pairs // nv, minlength=K).cumsum(out=voff[1:])
+    dvars = pairs % nv
+    pos = pairs.searchsorted(ekey) - voff[ek]
+    # The shape of each disjunction: its number of variables and each
+    # disjunct's row keys, the sorted items over the renamed variables.
+    by_var = np.lexsort((src.cols, erow))
+    items = list(zip(pos[by_var].tolist(), src.vals[by_var].tolist()))
+    st, ro = src.start.tolist(), src.rowoff.tolist()
+    keys = [tuple(items[a:b]) for a, b in zip(st, st[1:])]
+    disjunct_keys = [tuple(keys[a:b]) for a, b in zip(ro, ro[1:])]
     shapes: Dict[tuple, List[int]] = {}
-    for k, disj in enumerate(model.disjunctions):
-        entries = [_canonical_entries(d) for d in disj.disjuncts]
-        dvars = sorted({v for es in entries for e in es for v, _ in e[0]})
-        pos = {v: i for i, v in enumerate(dvars)}
-        shape = (len(dvars),) + tuple(tuple(tuple([(pos[v], a) for v, a in e[0]]) for e in es) for es in entries)
-        shapes.setdefault(shape, []).append(k)
-        parts.append((dvars, [[e[-1] for e in es] for es in entries]))
+    for k, (a, b, n) in enumerate(zip(src.doff.tolist(), src.doff[1:].tolist(), np.diff(voff).tolist())):
+        shapes.setdefault((n,) + tuple(disjunct_keys[a:b]), []).append(k)
 
     # The kept rows of every shape, each disjunct's in key order: the
     # disjunction, the disjunct, the rank among the disjunction's kept keys,
     # the rhs, and the coefficients in CSR.
-    empty = [()] * len(parts)
+    empty: List[Tuple[int, int]] = []
     blocks = []
     for shape, ks in shapes.items():
         lay = _layout(shape)
-        support, shape_empty, keep = _align_shape(shape, [parts[k] for k in ks], lo, hi)
-        for k, e in zip(ks, shape_empty.tolist()):
-            empty[k] = e
+        ks = np.array(ks)
+        dv = dvars[voff[ks, None] + np.arange(shape[0])]
+        rhs = src.rhs[src.first[ks, None] + np.arange(src.first[ks[0] + 1] - src.first[ks[0]])]
+        support, shape_empty, keep = _align_shape(shape, rhs, dv, lo, hi)
+        e, j = shape_empty.nonzero()
+        empty += zip(ks[e].tolist(), j.tolist())
         m, j, q = np.nonzero(np.broadcast_to(keep[:, None, :], support.shape))
         kstart, kvar, kval = lay.entries
         lens = kstart[q + 1] - kstart[q]
         nz, at = _entries(kstart, q)
-        dv = np.array([parts[k][0] for k in ks], dtype=np.intp).reshape(len(ks), -1)
-        blocks.append((np.array(ks)[m], j, (np.cumsum(keep, axis=1) - 1)[m, q], support[m, j, q],
+        blocks.append((ks[m], j, (np.cumsum(keep, axis=1) - 1)[m, q], support[m, j, q],
                        lens, dv[m[at], kvar[nz]], kval[nz]))
     kk, j, rank, rhs, lens, cols, vals = (
         np.concatenate([b[f] for b in blocks]) if blocks else np.zeros(0, dtype=np.intp) for f in range(7)
@@ -360,34 +380,20 @@ def align_model(model: GdpModel) -> GdpModel:
     row_start = np.zeros(len(lens) + 1, dtype=np.intp)
     row_start[1:] = lens.cumsum()
     nz, _ = _entries(row_start, order)
-    first = np.zeros(len(parts) + 1, dtype=np.intp)
-    first[1:] = np.bincount(kk, minlength=len(parts)).cumsum()
     form = canonical_rows(
-        start, cols[nz].astype(np.intp), vals[nz].astype(float), rhs[order].astype(float), j[order],
-        rank[order], np.zeros(len(order), dtype=bool), first, [len(d.disjuncts) for d in model.disjunctions],
+        start, cols[nz].astype(np.intp), vals[nz].astype(float), rhs[order].astype(float),
+        src.doff[kk[order]] + j[order], rank[order], np.zeros(len(order), dtype=bool), src.doff,
     )
 
-    disjunctions: List[Disjunction] = []
     logic = list(model.logic)
-    fixed = {y for r in logic for y in r.coeffs if r == LinRow({y: 1}, 0, LE)}
-    st, cl, vl, rl = form.start.tolist(), form.cols.tolist(), form.vals.tolist(), form.rhs.tolist()
-    fl = first.tolist()
-    for k, disj in enumerate(model.disjunctions):
-        r0 = fl[k]
-        nq = (fl[k + 1] - r0) // len(disj.disjuncts)
-        # one coefficient dict per shared row, for every disjunct
-        coeffs = [dict(zip(cl[st[r]:st[r + 1]], vl[st[r]:st[r + 1]])) for r in range(r0, r0 + nq)]
-        disjunctions.append(Disjunction(
-            [Disjunct(d.indicator, map(LinRow, coeffs, rl[r0 + i * nq:r0 + (i + 1) * nq]))
-             for i, d in enumerate(disj.disjuncts)],
-            disj.label,
-        ))
-        logic.extend(
-            LinRow({d.indicator: 1}, 0, LE)
-            for d, e in zip(disj.disjuncts, empty[k]) if e and d.indicator not in fixed
-        )
-    set_canonical_form(disjunctions, form)
-    return replace(model, disjunctions=disjunctions, logic=logic)
+    # the indicators that a logic row y <= 0 fixes already
+    fixed = {y for r in logic if len(r.coeffs) == 1 and (r.rhs, r.sense, r.provenance) == (0, LE, "")
+             for y, a in r.coeffs.items() if a == 1}
+    for k, j in sorted(empty):
+        y = model.disjunctions[k].disjuncts[j].indicator
+        if y not in fixed:
+            logic.append(LinRow({y: 1}, 0, LE))
+    return replace(model, disjunctions=shared_disjunctions(form, model.disjunctions), logic=logic)
 
 
 def _reject_invalid(model: GdpModel) -> None:
@@ -396,15 +402,6 @@ def _reject_invalid(model: GdpModel) -> None:
     diags = validate(model)
     if diags:
         raise ValueError("invalid model: " + "; ".join(diags))
-
-
-def _entries(start: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The positions of the entries of ``rows`` in a CSR with row starts
-    ``start``, row after row, and the index into ``rows`` of each."""
-    first = start[rows]
-    lens = start[rows + 1] - first
-    at = np.repeat(np.arange(len(rows)), lens)
-    return (first - lens.cumsum() + lens)[at] + np.arange(len(at)), at
 
 
 def _row_maxima(form: CanonicalRows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -212,6 +212,21 @@ def test_csv_rejects_a_row_of_the_wrong_length():
             records_from_csv(bad)
 
 
+@pytest.mark.parametrize("field, bad, why", [
+    ("nodes", "three", "invalid literal for int() with base 10: 'three'"),
+    ("objective", "abc", "could not convert string to float: 'abc'"),
+])
+def test_csv_names_the_line_and_field_of_a_bad_value(field, bad, why):
+    rec = BenchRecord("i0", "GP", "BM", "optimal", 5.0, 5.0, 0.0, 3, 0.5)
+    header, line = records_to_csv([rec, rec]).splitlines()[:2]
+    row = line.split(",")
+    row[CSV_FIELDS.index(field)] = bad
+    text = "\n".join([header, line, ",".join(row)]) + "\n"
+    with pytest.raises(ValueError) as err:
+        records_from_csv(text)
+    assert str(err.value) == f"CSV line 3, field '{field}': {why}"
+
+
 def test_empty_instance_list_gives_header_only_csv():
     records, _ = run_bench([], concepts=["TS"], reformulations=["BM"])
     assert records == []

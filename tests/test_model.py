@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -23,7 +24,7 @@ from gldp import (
     reformulate_bigm,
     validate,
 )
-from gldp.model import _bulk_valid, _diagnose
+from gldp.model import CanonicalRows, _bulk_valid, _canonical_block, _diagnose, row_range
 
 
 def tiny_model(**overrides):
@@ -350,6 +351,104 @@ def test_canonicalize_preserves_feasible_set(rows, data):
     before = all(r.satisfied(point, 1e-9) for r in d.rows)
     after = all(r.satisfied(point, 1e-9) for r in canon.rows)
     assert before == after
+
+
+def _as_le_rows(row):
+    """Reference: a row as one or two ``<=`` rows, zero coefficients dropped
+    (an already canonical row as it is)."""
+    values = row.coeffs.values()
+    if (
+        row.sense == LE
+        and type(row.rhs) is float
+        and not row.provenance
+        and set(map(type, values)) == {float}
+        and 0.0 not in values
+    ):
+        return [row]
+    coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
+    lo, hi = row_range(row.sense, float(row.rhs))
+    rows = []
+    if hi < math.inf:
+        rows.append(LinRow(coeffs, hi))
+    if lo > -math.inf:
+        rows.append(LinRow({v: -a for v, a in coeffs.items()}, -lo))
+    return rows
+
+
+def _canonical_entries(disjunct):
+    """Reference: a disjunct's canonical rows by a plain sort of tuples
+    (sorted items, rhs, source row, half, row)."""
+    entries = [
+        (tuple(sorted(r.coeffs.items())), r.rhs, i, h, r)
+        for i, row in enumerate(disjunct.rows)
+        for h, r in enumerate(_as_le_rows(row))
+    ]
+    entries.sort()
+    return entries
+
+
+def reference_block(disjunctions):
+    """Every array of a CanonicalRows, made one disjunct at a time."""
+    rows, tags, first, gd = [], [], [0], []
+    counts = [len(d.disjuncts) for d in disjunctions]
+    for k, disj in enumerate(disjunctions):
+        for j, d in enumerate(disj.disjuncts):
+            for _, _, i, h, r in _canonical_entries(d):
+                rows.append(r)
+                tags.append((j, i, h))
+                gd.append(sum(counts[:k]) + j)
+        first.append(len(rows))
+    lens = [len(r.coeffs) for r in rows]
+    j, i, h = np.array(tags, dtype=np.intp).reshape(-1, 3).T
+    doff = np.array([0] + list(itertools.accumulate(counts)), dtype=np.intp)
+    gd = np.array(gd, dtype=np.intp)
+    return CanonicalRows(
+        start=np.array([0] + list(itertools.accumulate(lens)), dtype=np.intp),
+        cols=np.array([v for r in rows for v in r.coeffs], dtype=np.intp),
+        vals=np.array([a for r in rows for a in r.coeffs.values()], dtype=float),
+        rhs=np.array([r.rhs for r in rows], dtype=float),
+        disjunct=j, source=i, half=h.astype(bool),
+        first=np.array(first, dtype=np.intp),
+        k=np.array([k for k in range(len(counts)) for _ in range(first[k + 1] - first[k])], dtype=np.intp),
+        gd=gd,
+        dk=np.array([k for k, c in enumerate(counts) for _ in range(c)], dtype=np.intp),
+        doff=doff,
+        rowoff=np.array([sum(1 for g in gd.tolist() if g < b) for b in range(doff[-1] + 1)], dtype=np.intp),
+    )
+
+
+any_row = st.builds(
+    LinRow,
+    st.dictionaries(
+        st.integers(0, 3),
+        st.one_of(st.integers(-3, 3), st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -0.5])),
+        max_size=4,
+    ),
+    st.one_of(st.integers(-5, 5), st.sampled_from([0.0, -0.0, 1.5, -2.0])),
+    st.sampled_from([LE, GE, EQ]),
+)
+any_disjunction = st.builds(
+    Disjunction,
+    st.lists(st.builds(Disjunct, st.integers(0, 3), st.lists(any_row, max_size=4)), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(any_disjunction, max_size=4).map(lambda ds: ds + ds[:1]))
+def test_canonical_block_is_the_plain_sort(disjunctions):
+    got, want = _canonical_block(disjunctions), reference_block(disjunctions)
+    for name, a, b in zip(CanonicalRows._fields, got, want):
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+        assert np.signbit(a).tolist() == np.signbit(b).tolist(), name
+    for disj in disjunctions:
+        for d in disj.disjuncts:
+            assert canonicalize_rows(d) == Disjunct(d.indicator, [e[-1] for e in _canonical_entries(d)])
+
+
+def test_canonicalize_rejects_an_unknown_sense():
+    with pytest.raises(ValueError, match="unknown row sense '<'"):
+        canonicalize_rows(Disjunct(0, [LinRow({0: 1.0}, 1.0), LinRow({0: 1.0}, 2.0, "<")]))
 
 
 def test_check_assignment_closes_the_loop():

@@ -133,3 +133,11 @@ def test_mps_name_sanitization(tmp_path, names):
     assert "weird name!" not in text
     back_names = list(read_back(tmp_path, m).getLp().col_names_)
     assert back_names == _sanitized_names(m) and len(set(back_names)) == len(names)
+
+
+def test_an_unknown_row_sense_is_rejected_with_the_rows_name():
+    m = box_lp()
+    m.add_row({0: 1.0}, LE, 5.0, "fine")
+    m.add_row({0: 1.0}, "<", 1.0, "bad")
+    with pytest.raises(ValueError, match=r"^row R1 \(bad\): unknown row sense '<'$"):
+        to_mps_string(m)

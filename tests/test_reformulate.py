@@ -41,8 +41,9 @@ from gldp import (
     strip_oracle,
     validate,
 )
+from gldp.builders import CONCEPTS
 from gldp.milp import LpEngine
-from gldp.model import _canonical_block
+from gldp.model import _canonical_block, _diagnose, canonical_form
 from gldp.reformulate import EMPTY_TOL, _difference_closures, _difference_form, _row_maxima
 
 
@@ -286,6 +287,54 @@ def test_align_model_rejects_an_invalid_model():
         with pytest.raises(ValueError) as err:
             step(m)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("concept, inst", [
+    ("GP_S", gen_scheduling(5, 0)), ("S0", gen_strip(4, 0)), ("S1", gen_strip(4, 1)),
+])
+def test_aligned_rows_are_made_only_when_read(monkeypatch, concept, inst):
+    made = []
+    init = LinRow.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinRow, "__init__", counted)
+    source = CONCEPTS[concept].build(inst)
+    built = len(made)
+    made.clear()
+    model = build_model(inst, concept)
+    for step in (reformulate_bigm, reformulate_hull, reformulate_rhr):
+        assert solve_lp(step(model)).status == "optimal"
+    # the rows made: the source model's, and the logic rows that fix empty disjuncts
+    fixing = model.logic[len(source.logic):]
+    assert len(made) == built + len(fixing)
+    assert {id(r) for r in fixing} <= {id(r) for r in made}
+    made.clear()
+    rows = [d.rows for disj in model.disjunctions for d in disj.disjuncts]
+    assert len(made) == sum(map(len, rows)) > 0
+    form = canonical_form(model.disjunctions)
+    st, cols, vals = form.start.tolist(), form.cols.tolist(), form.vals.tolist()
+    want = [LinRow(dict(zip(cols[a:b], vals[a:b])), r) for a, b, r in zip(st, st[1:], form.rhs.tolist())]
+    ro = form.rowoff.tolist()
+    assert rows == [tuple(want[a:b]) for a, b in zip(ro, ro[1:])]
+    for disj in model.disjunctions:  # one coefficient dict per shared row
+        first = disj.disjuncts[0].rows
+        assert all(r.coeffs is f.coeffs for d in disj.disjuncts for r, f in zip(d.rows, first))
+    assert align_model(model) == model
+
+
+@pytest.mark.parametrize("keep", [-1, 1])
+def test_validate_walks_the_rows_of_a_cached_form_that_fails(keep):
+    aligned = build_model(gen_strip(3, 0), "S1")
+    assert validate(aligned) == []
+    cut = replace(aligned, vars=aligned.vars[:keep])
+    diags = validate(cut)
+    assert diags == _diagnose(cut)
+    assert any("references undeclared variable" in d for d in diags)
+    # with one variable left, the disjunct rows are reported, read from the views
+    assert (keep == 1) == any(", disjunct " in d and "undeclared variable" in d for d in diags)
 
 
 def test_rhr_interval_union_matches_hull():
