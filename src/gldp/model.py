@@ -243,9 +243,12 @@ def _entries(start: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 
 _SENSE_CODE = {s: c for c, s in enumerate(SENSES)}
-_EQ_CODE = _SENSE_CODE[EQ]
 # by sense code: whether a row has a <= side (a finite upper end) and a >= side
 _SIDES = np.isfinite([row_range(s, 0.0)[::-1] for s in SENSES])
+# by side: the sign of a side's coefficients and rhs; by sense code and
+# side: whether the side is the second half of a row that has two
+_SIGN = np.array([1.0, -1.0])
+_HALF = _SIDES.all(axis=1)[:, None] & np.array([False, True])
 
 
 def _canonical_block(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
@@ -257,17 +260,18 @@ def _canonical_block(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
     negated ``>=`` side, where it has one, with zero coefficients dropped
     and the rest in the order of the row's dict.  One ``np.lexsort`` puts
     each disjunct's rows in the order of Python's tuples ``(sorted items,
-    rhs, source row, half)``: the items are padded with a variable below
-    every column, so that a prefix sorts first.
+    rhs, source row, half)``, the items padded with variable -1 so that a
+    prefix sorts first (columns of a valid model are at least 0).
     """
-    per_disjunct = [d.rows for disj in disjunctions for d in disj.disjuncts]
+    per_disjunction = list(map(attrgetter("disjuncts"), disjunctions))
+    per_disjunct = list(map(attrgetter("rows"), chain.from_iterable(per_disjunction)))
     rows = list(chain.from_iterable(per_disjunct))
     coeffs = list(map(attrgetter("coeffs"), rows))
     R = len(rows)
-    start = np.zeros(R + 1, dtype=np.intp)
-    np.fromiter(map(len, coeffs), np.intp, R).cumsum(out=start[1:])
-    cols = np.fromiter(chain.from_iterable(coeffs), np.intp, start[-1])
-    vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, start[-1])
+    lens = np.fromiter(map(len, coeffs), np.intp, R)
+    erow = np.arange(R).repeat(lens)
+    cols = np.fromiter(chain.from_iterable(coeffs), np.intp, len(erow))
+    vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, len(erow))
     rhs = np.fromiter(map(attrgetter("rhs"), rows), float, R)
     senses = list(map(attrgetter("sense"), rows))
     try:
@@ -276,44 +280,47 @@ def _canonical_block(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
         for sense in senses:
             row_range(sense, 0.0)  # raises ValueError on the first unknown sense
         raise
-    # each source row's disjunct, numbered over the block, and its index there
-    nrows = np.fromiter(map(len, per_disjunct), np.intp, len(per_disjunct))
-    row_g = np.arange(len(nrows)).repeat(nrows)
-    row_i = np.arange(R) - (nrows.cumsum() - nrows).repeat(nrows)
 
-    # the canonical rows, unsorted: each source row's <= side, then its
-    # negated >= side
-    src, side = _SIDES[code].nonzero()
-    half = side.astype(bool) & (code[src] == _EQ_CODE)
-    sign = 1.0 - 2.0 * side
-    nz, at = _entries(start, src)
-    keep = vals[nz] != 0.0
-    nz, at = nz[keep], at[keep]
-    cols, vals, rhs = cols[nz], vals[nz] * sign[at], rhs[src] * sign
-    ustart = np.zeros(len(src) + 1, dtype=np.intp)
-    np.bincount(at, minlength=len(src)).cumsum(out=ustart[1:])
-    g, i = row_g[src], row_i[src]
-
+    # each source row's nonzero entries in dict order, and sorted by column
+    keep = vals != 0.0
+    erow, cols, vals = erow[keep], cols[keep], vals[keep]
+    lens = np.bincount(erow, minlength=R)
+    start = np.zeros(R + 1, dtype=np.intp)
+    lens.cumsum(out=start[1:])
+    by_var = np.lexsort((cols, erow))
+    row = erow[by_var]
+    p = np.arange(len(row)) - start[row]
     # sort key columns: the sorted (variable, coefficient) items, padded
-    by_var = np.lexsort((cols, at))
-    row = at[by_var]
-    p = np.arange(len(row)) - ustart[row]
-    width = int(p.max(initial=-1)) + 1
-    var = np.full((len(src), width), min(int(cols.min(initial=0)), 0) - 1)
-    coef = np.zeros((len(src), width))
+    # with variable -1, below every column, so that a prefix sorts first
+    var = np.full((R, int(p.max(initial=-1)) + 1), -1)
+    coef = np.zeros(var.shape)
     var[row, p] = cols[by_var]
     coef[row, p] = vals[by_var]
+
+    # the canonical rows, unsorted: each source row's <= side, then its
+    # negated >= side; src is the source row, g its disjunct and i its
+    # index there
+    src, side = _SIDES[code].nonzero()
+    sign, half = _SIGN[side], _HALF[code[src], side]
+    nrows = np.fromiter(map(len, per_disjunct), np.intp, len(per_disjunct))
+    g = np.arange(len(nrows)).repeat(nrows)[src]
+    i = src - (nrows.cumsum() - nrows)[g]
+    rhs = rhs[src] * sign
     keys = [half, i, rhs]
-    for q in range(width - 1, -1, -1):
+    var, coef = var[src], coef[src] * sign[:, None]
+    for q in range(var.shape[1] - 1, -1, -1):
         keys += [coef[:, q], var[:, q]]
     order = np.lexsort(keys + [g])
 
+    src, sign, lens = src[order], sign[order], lens[src[order]]
     cstart = np.zeros(len(order) + 1, dtype=np.intp)
-    (ustart[1:] - ustart[:-1])[order].cumsum(out=cstart[1:])
-    nz, _ = _entries(ustart, order)
+    lens.cumsum(out=cstart[1:])
+    # the entries of the sorted rows, as _entries(start, src) finds them
+    at = np.arange(len(order)).repeat(lens)
+    nz = (start[src] - cstart[:-1])[at] + np.arange(len(at))
     doff = np.zeros(len(disjunctions) + 1, dtype=np.intp)
-    np.cumsum([len(d.disjuncts) for d in disjunctions], out=doff[1:])
-    return canonical_rows(cstart, cols[nz], vals[nz], rhs[order], g[order], i[order], half[order], doff)
+    np.fromiter(map(len, per_disjunction), np.intp, len(disjunctions)).cumsum(out=doff[1:])
+    return canonical_rows(cstart, cols[nz], vals[nz] * sign[at], rhs[order], g[order], i[order], half[order], doff)
 
 
 def canonical_form(disjunctions: Sequence[Disjunction]) -> CanonicalRows:
