@@ -122,11 +122,12 @@ class Disjunct:
     def __getattr__(self, name: str):
         # Reached only for an attribute the instance lacks: the rows of a
         # view, on their first read.
-        view = self.__dict__.pop("_view", None) if name == "rows" else None
+        view = self.__dict__.get("_view") if name == "rows" else None
         if view is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         rows, g = view
         object.__setattr__(self, "rows", rows.disjunct(g))
+        del self.__dict__["_view"]
         return self.rows
 
 
