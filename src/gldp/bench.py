@@ -256,8 +256,11 @@ def run_bench(
     exception is logged and the sweep goes on.  A worker process that dies
     breaks the pool, and every group not yet finished fails with it; each
     failed group is then run again alone, in a fresh one-worker pool, and
-    only a group that fails again gets error records.
+    only a group that fails again gets error records.  ``workers`` below 1
+    raises ``ValueError`` before any run starts.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     for kind, names, known in (
         ("concept", concepts, sorted(CONCEPTS)),
         ("reformulation", reformulations, list(REFORMULATIONS)),

@@ -131,6 +131,8 @@ def cmd_export_mps(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.gen:
         sizes = _parse_sizes(args.sizes)
         if not sizes:

@@ -10,9 +10,11 @@ reformulation passes in :mod:`gldp.reformulate`.  Every MILP row carries a
 provenance tag naming the pass and source entity that produced it.  Its rows
 live in one CSR store (:class:`RowStore`): row starts, column indices and
 coefficients, a sense code and right-hand side per row, and the provenance
-strings.  Passes append whole blocks of rows as arrays and single rows one
-at a time; ``MilpModel.rows`` is a read-only view of the store as
-:class:`LinRow` objects, built when it is first read after a change.
+strings.  A pass writes its rows in any order, as numpy blocks with a sort
+key per row, and the store sorts them into the MILP's row order once, when
+its arrays are first read; ``MilpModel.rows`` is a read-only view of the
+store as :class:`LinRow` objects, built when it is first read after a
+change.
 
 A disjunction's canonical rows (:func:`canonicalize_rows`, every disjunct
 at once) are kept as :class:`CanonicalRows` arrays, made in numpy from the
@@ -41,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, repeat
 from operator import attrgetter, is_, itemgetter, le
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,12 +183,40 @@ def canonicalize_rows(disjunct: Disjunct) -> Disjunct:
     coefficients are dropped, and the result is sorted lexicographically by
     sorted coefficient items with ties broken by right-hand side, then by
     the source row.  The operation is idempotent and preserves the
-    disjunct's feasible set.  An unknown sense raises ``ValueError``.
+    disjunct's feasible set.  An unknown sense, or a row that
+    :func:`validate` rejects by type, raises ``ValueError``.
     """
+    _reject_mistyped([disjunct])
     f = _canonical_block([Disjunction([disjunct])])
     st, cl, vl = f.start.tolist(), f.cols.tolist(), f.vals.tolist()
     coeffs = [dict(zip(cl[a:b], vl[a:b])) for a, b in zip(st, st[1:])]
     return Disjunct(disjunct.indicator, map(LinRow, coeffs, f.rhs.tolist()))
+
+
+def _reject_mistyped(disjuncts: Sequence[Disjunct]) -> None:
+    """Raise ``ValueError`` at the first row of ``disjuncts`` that the walk
+    of :func:`validate` rejects by type, or for a negative variable, in the
+    walk's words: ``disjunct <j>, row <i>: <why>``."""
+    for j, d in enumerate(disjuncts):
+        if not isinstance(d, Disjunct):
+            raise ValueError(f"disjunct {j}: {d!r} is not a Disjunct")
+        for i, row in enumerate(d.rows):
+            if why := _mistyped(row):
+                raise ValueError(f"disjunct {j}, row {i}: {why}")
+
+
+def _mistyped(row: LinRow) -> str:
+    """Why the walk of :func:`validate` rejects ``row`` by type, or ""."""
+    if not isinstance(row, LinRow):
+        return f"{row!r} is not a LinRow"
+    if not isinstance(row.coeffs, dict):
+        return "coefficients are not a dict"
+    for v, a in row.coeffs.items():
+        if not isinstance(v, int) or v < 0:
+            return f"references undeclared variable {v}"
+        if not isinstance(a, _REAL):
+            return f"coefficient on variable {v} is not a number"
+    return "" if isinstance(row.rhs, _REAL) else "right-hand side is not a number"
 
 
 class CanonicalRows(NamedTuple):
@@ -700,87 +730,98 @@ class RowStore:
     written; its sense is ``senses[code[r]]``, its right-hand side
     ``rhs[r]`` and its provenance ``provenance[r]``.  ``senses`` starts as
     ``SENSES``; a row written with another sense appends it, so that a
-    solver can reject it.  Rows come one at a time (:meth:`add`) or as a
-    block of arrays (:meth:`add_block`); :meth:`arrays` joins them once, and
-    the joined arrays are read-only.  A block's provenance strings are made
-    when :attr:`provenance` is first read: solving a MILP reads none.
+    solver can reject it.  Rows are written in any order, as blocks with a
+    sort key per row (:meth:`add_rows`, or :meth:`add` for one row keyed
+    after every key a pass uses), and their coefficients as entries of row
+    ids (:meth:`entries`).  :meth:`arrays` sorts the rows written since its
+    last call by key, once (stably), and appends them, each with its
+    entries in the order written, to the rows it joined before; the joined
+    arrays are read-only.  A block's provenance strings are made when
+    :attr:`provenance` is first read: solving a MILP reads none.
     """
 
     def __init__(self) -> None:
         self.senses: List[str] = list(SENSES)
-        self._count = 0
-        self._names: List = []  # provenance: lists of strings, or functions that make one
+        self._names: List = []  # provenance of the joined rows: lists of strings, or functions that make one
         self._joined = _frozen(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0),
                                np.zeros(0, np.int8), np.zeros(0))
-        self._blocks: List[Tuple[np.ndarray, ...]] = []  # (lens, cols, vals, code, rhs), not yet joined
-        self._single: Tuple[List, ...] = ([], [], [], [], [])
+        # written since arrays(): each block's (count, k, r1, r2, r3, code,
+        # rhs, provenance), and each call's (count, ids, cols, vals)
+        self._rows: List[tuple] = []
+        self._ents: List[tuple] = []
+        self._new = 0
         self._view: Optional[Tuple[LinRow, ...]] = None
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._joined[4]) + self._new
 
     def __eq__(self, other: object) -> bool:
         return self.view() == other.view() if isinstance(other, RowStore) else NotImplemented
 
     @property
     def provenance(self) -> List[str]:
+        self.arrays()
         if any(map(callable, self._names)):
-            self._names = [list(chain.from_iterable(p() if callable(p) else p for p in self._names))]
+            self._names = [_made(self._names)]
         return self._names[0] if self._names else []
 
     def copy(self) -> RowStore:
         other = RowStore()
         other.senses = list(self.senses)
-        other._count = self._count
         other._names = [list(self.provenance)]
         other._joined = self.arrays()
         return other
 
+    def add_rows(self, k: np.ndarray, r1, r2, r3, code, rhs, provenance) -> np.ndarray:
+        """Append rows with sort keys ``(k, r1, r2, r3)``, sense codes into
+        :attr:`senses`, right-hand sides and their provenance (a list of
+        strings, or a function that makes one); returns their ids for
+        :meth:`entries`.  Any field but ``k`` may be one value for all of
+        the rows."""
+        ids = np.arange(self._new, self._new + len(k))
+        self._rows.append((len(k), k, r1, r2, r3, code, rhs, provenance))
+        self._new += len(k)
+        self._view = None
+        return ids
+
+    def entries(self, ids: np.ndarray, cols, vals) -> None:
+        """One entry ``(cols[e], vals[e])`` at the end of row ``ids[e]``, for
+        each ``e``; ``cols`` or ``vals`` may be one value for all of them.
+        The ids are those :meth:`add_rows` gave since :meth:`arrays` was
+        last called."""
+        self._ents.append((len(ids), ids, cols, vals))
+
     def add(self, coeffs: Mapping[int, float], sense: str, rhs: float, provenance: str) -> None:
+        """Append one row, keyed after every row a pass writes."""
         if sense not in self.senses:
             self.senses.append(sense)
-        lens, cols, vals, code, rhss = self._single
-        lens.append(len(coeffs))
-        cols.extend(coeffs)
-        vals.extend(coeffs.values())
-        code.append(self.senses.index(sense))
-        rhss.append(rhs)
-        if not self._names or callable(self._names[-1]):
-            self._names.append([])
-        self._names[-1].append(provenance)
-        self._count += 1
-        self._view = None
-
-    def add_block(self, lens: np.ndarray, cols: np.ndarray, vals: np.ndarray, code: np.ndarray,
-                  rhs: np.ndarray, provenance: Callable[[], List[str]]) -> None:
-        """Append rows with ``lens[r]`` coefficients each, read in turn from
-        ``cols`` and ``vals``, sense codes into ``SENSES``, and a function
-        that makes their provenance strings."""
-        self._flush()
-        self._blocks.append((lens, cols, vals, code, rhs))
-        self._names.append(provenance)
-        self._count += len(lens)
-        self._view = None
-
-    def _flush(self) -> None:
-        if self._single[0]:
-            self._blocks.append(tuple(map(np.array, self._single)))
-            self._single = ([], [], [], [], [])
+        ids = self.add_rows(np.full(1, np.iinfo(np.intp).max), 0, 0, 0, self.senses.index(sense), rhs, [provenance])
+        self.entries(ids.repeat(len(coeffs)), list(coeffs), list(coeffs.values()))
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(start, cols, vals, code, rhs)`` of every row: ``int32`` row
         starts and column indices, ``float64`` coefficients and right-hand
         sides, ``int8`` sense codes."""
-        self._flush()
-        if self._blocks:
-            start, *rest = self._joined
-            blocks = [(np.diff(start), *rest)] + self._blocks
-            lens, cols, vals, code, rhs = (np.concatenate([b[f] for b in blocks]) for f in range(5))
-            start = np.zeros(len(lens) + 1, dtype=np.int32)
-            np.cumsum(lens, out=start[1:])
-            self._joined = _frozen(start, cols.astype(np.int32), vals.astype(float),
-                                   code.astype(np.int8), rhs.astype(float))
-            self._blocks = []
+        if self._rows:
+            n = self._new
+            k, r1, r2, r3, code, rhs = (_join(self._rows, f) for f in range(1, 7))
+            order = np.lexsort((r3, r2, r1, k))
+            pos = np.empty(n, dtype=np.intp)
+            pos[order] = np.arange(n)
+            # each entry's row in the sorted order; the starts count them
+            at = pos[_join(self._ents, 1)]
+            by_row = at.argsort(kind="stable")
+            start, cols, vals, codes, rhss = self._joined
+            self._joined = _frozen(
+                np.concatenate([start, start[-1] + np.bincount(at, minlength=n).cumsum()]).astype(np.int32),
+                np.concatenate([cols, _join(self._ents, 2)[by_row]]).astype(np.int32),
+                np.concatenate([vals, _join(self._ents, 3)[by_row]]).astype(float),
+                np.concatenate([codes, code[order]]).astype(np.int8),
+                np.concatenate([rhss, rhs[order]]).astype(float),
+            )
+            made = [b[7] for b in self._rows]
+            self._names.append(lambda: list(map(_made(made).__getitem__, order.tolist())))
+            self._rows, self._ents, self._new = [], [], 0
         return self._joined
 
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -809,6 +850,17 @@ class RowStore:
         return self._view
 
 
+def _join(blocks: List[tuple], f: int) -> np.ndarray:
+    """Field ``f`` of ``blocks`` joined, a block's single value repeated to
+    its count, field 0."""
+    return np.concatenate([b[f] if type(b[f]) is np.ndarray else np.full(b[0], b[f]) for b in blocks])
+
+
+def _made(parts: List) -> List[str]:
+    """Provenance strings from lists of them and functions that make one."""
+    return list(chain.from_iterable(p() if callable(p) else p for p in parts))
+
+
 def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
@@ -819,11 +871,13 @@ def _frozen(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
 class MilpModel:
     """A flat mixed-integer linear program (minimization).
 
-    A pass starts from an empty model and fills it with :meth:`add_cont`,
-    :meth:`add_bin`, :meth:`add_row` and ``store.add_block``.  The rows live
-    in one :class:`RowStore`; :attr:`rows` is a read-only view of them as
-    :class:`LinRow` objects, built on demand.  ``rows`` given to the
-    constructor are appended to ``store``, which is copied.
+    A pass starts from an empty model, appends to :attr:`variables` and
+    writes its rows as keyed blocks to :attr:`store` (see
+    ``RowStore.add_rows``).  The rows live in one :class:`RowStore`;
+    :attr:`rows` is a read-only view of them as :class:`LinRow` objects,
+    built on demand.  :meth:`add_row` appends one row after every row a
+    pass writes, and ``rows`` given to the constructor are appended so to
+    ``store``, which is copied.
     """
 
     variables: List[MilpVar]

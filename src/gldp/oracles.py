@@ -5,9 +5,11 @@ of any LP machinery: scheduling optima come from exhaustive sequence
 enumeration, packing optima from exhaustive relation assignments evaluated
 with longest-path reasoning on difference constraints, and hull membership
 (``hull_oracle_1d2d``) from direct vertex enumeration of the disjunct
-polygons.  ``rhr_relaxation_mask`` is not an oracle: it is the reformulation
-under test, running ``align_model``, ``reformulate_rhr`` and an ``LpEngine``,
-and its mask is checked against ``hull_oracle_1d2d`` with
+polygons.  The hull oracle shares no row code with the passes: it reads
+each disjunct row as it is written, through ``row_range``, and never its
+canonical form.  ``rhr_relaxation_mask`` is not an oracle: it is the
+reformulation under test, running ``align_model``, ``reformulate_rhr`` and
+an ``LpEngine``, and its mask is checked against ``hull_oracle_1d2d`` with
 ``masks_agree_within_band``.
 """
 
@@ -20,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Disjunction, GdpModel, LinRow, canonicalize_rows
+from .model import Disjunction, GdpModel, LinRow, canonicalize_rows, row_range
 from .builders import SchedulingInstance, StripInstance
 
 SCHED_ORACLE_MAX = 9
@@ -188,16 +190,29 @@ def strip_oracle(inst: StripInstance) -> OracleResult:
     return OracleResult(best, best_witness)
 
 
+def _halfplanes(rows: Sequence[LinRow]) -> List[Tuple[Dict[int, float], float]]:
+    """Each row as half-planes ``a . x <= b``: its ``<=`` side and its
+    negated ``>=`` side, where ``row_range`` gives the side a finite end."""
+    out = []
+    for row in rows:
+        lo, hi = row_range(row.sense, row.rhs)
+        if math.isfinite(hi):
+            out.append((row.coeffs, hi))
+        if math.isfinite(lo):
+            out.append(({v: -a for v, a in row.coeffs.items()}, -lo))
+    return out
+
+
 def _disjunct_interval(
-    rows: Sequence[LinRow], var: int, box: Tuple[float, float]
+    halves: List[Tuple[Dict[int, float], float]], var: int, box: Tuple[float, float]
 ) -> Optional[Tuple[float, float]]:
     lo, hi = box
-    for row in rows:
-        a = row.coeffs.get(var, 0.0)
+    for coeffs, b in halves:
+        a = coeffs.get(var, 0.0)
         if a > 0:
-            hi = min(hi, row.rhs / a)
+            hi = min(hi, b / a)
         elif a < 0:
-            lo = max(lo, row.rhs / a)
+            lo = max(lo, b / a)
     return None if lo > hi + 1e-9 else (lo, hi)
 
 
@@ -281,11 +296,14 @@ def hull_oracle_1d2d(
     Supports one or two continuous dimensions.  In one dimension each
     disjunct reduces to an interval and the hull spans the union; in two the
     box rectangle is clipped by each disjunct's rows and the hull of all
-    polygon vertices is enumerated directly.  ``resolution`` is the number of
-    grid cells per axis (cell width h = box width / resolution).
+    polygon vertices is enumerated directly.  Each row as written clips by
+    its ``<=`` side and by its negated ``>=`` side where that is finite
+    (``row_range``); a zero coefficient adds no dimension.  ``resolution``
+    is the number of grid cells per axis (cell width h = box width /
+    resolution).
     """
-    canon = [canonicalize_rows(d) for d in disjunction.disjuncts]
-    var_ids = tuple(sorted({v for d in canon for r in d.rows for v in r.coeffs}))
+    halves = [_halfplanes(d.rows) for d in disjunction.disjuncts]
+    var_ids = tuple(sorted({v for h in halves for coeffs, _ in h for v, a in coeffs.items() if a != 0}))
     if not 1 <= len(var_ids) <= 2:
         raise ValueError(f"hull oracle supports 1 or 2 dimensions, got {len(var_ids)}")
     axes = tuple(
@@ -298,8 +316,8 @@ def hull_oracle_1d2d(
         v = var_ids[0]
         intervals = [
             iv
-            for d in canon
-            if (iv := _disjunct_interval(d.rows, v, boxes[v])) is not None
+            for h in halves
+            if (iv := _disjunct_interval(h, v, boxes[v])) is not None
         ]
         mask = np.zeros(axes[0].shape, dtype=bool)
         if intervals:
@@ -312,11 +330,11 @@ def hull_oracle_1d2d(
     (x0, x1), (y0, y1) = boxes[vx], boxes[vy]
     box_poly = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
     vertices: List[Tuple[float, float]] = []
-    for d in canon:
+    for h in halves:
         poly = box_poly
-        for row in d.rows:
-            a = (row.coeffs.get(vx, 0.0), row.coeffs.get(vy, 0.0))
-            poly = _clip_polygon(poly, a, row.rhs)
+        for coeffs, b in h:
+            a = (coeffs.get(vx, 0.0), coeffs.get(vy, 0.0))
+            poly = _clip_polygon(poly, a, b)
             if not poly:
                 break
         vertices.extend(poly)

@@ -20,17 +20,19 @@ Three passes are provided:
     an indicator-weighted right-hand side.  Adds no continuous variables.
 
 The passes differ only in the rows they write.  All three run one
-lowering, ``_lower``: validate the model, copy its variables, indicators,
-global rows, logic rows and objective, then take the canonical form of the
-whole model's disjunctions (``gldp.model.canonical_form``: every
-disjunct's canonical ``<=`` rows as one CSR block, cached on the
-disjunctions, so a model lowered by several passes is canonicalized once,
-and an aligned one never), compute every row's maximum over the box in one
-numpy pass (``interval_max``'s terms, added in the same order), let the
-pass write its rows for the whole model as numpy blocks, and add each
-disjunction's exclusive-or row.  The blocks are sorted into the MILP's row
-order: disjunction after disjunction, each one's rows as the pass lists
-them, then its exclusive-or row.
+lowering, ``_lower``: validate the model, copy its variables, indicators
+and objective, write its global and logic rows as one block, then take the
+canonical form of the whole model's disjunctions
+(``gldp.model.canonical_form``: every disjunct's canonical ``<=`` rows as
+one CSR block, cached on the disjunctions, so a model lowered by several
+passes is canonicalized once, and an aligned one never), compute every
+row's maximum over the box in one numpy pass (``interval_max``'s terms,
+added in the same order), let the pass write its rows for the whole model
+as numpy blocks, and add each disjunction's exclusive-or row.  Every block
+goes to the MILP's row store (``gldp.model.RowStore``) with a sort key per
+row, and the store sorts them once into the MILP's row order: the global
+rows, the logic rows, then disjunction after disjunction, each one's rows
+as the pass lists them, then its exclusive-or row.
 
 That pass over the row maxima is the one place that decides whether the
 variable boxes imply a disjunct row ``a^T x <= rhs``: they do when ``rhs
@@ -70,6 +72,7 @@ import functools
 import math
 from dataclasses import replace
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -86,6 +89,7 @@ from .model import (
     MilpVar,
     _canonical_block,
     _entries,
+    _reject_mistyped,
     canonical_form,
     canonical_rows,
     shared_disjunctions,
@@ -445,8 +449,10 @@ def shared_lhs(disjunction: Disjunction) -> bool:
     """True iff all disjuncts carry identical coefficient matrices.
 
     Rows are canonicalized first; the comparison is positional and requires
-    exact coefficient equality (no rescaling detection).
+    exact coefficient equality (no rescaling detection).  A row that
+    ``validate`` rejects by type raises ``ValueError``.
     """
+    _reject_mistyped(disjunction.disjuncts)
     return not _unshared(_canonical_block([disjunction]))[0]
 
 
@@ -479,78 +485,33 @@ class _Lowering(NamedTuple):
 LE_CODE, EQ_CODE = SENSES.index(LE), SENSES.index(EQ)
 
 
-class _Rows:
-    """MILP rows written in any order, as blocks of arrays.  Each row has a
-    sort key, its disjunction and three ranks within it, and each entry the
-    id of its row; :meth:`into` appends the rows to a model sorted by key,
-    each with its entries in the order they were given, and their
-    provenance to be made when it is first read.  Any field of a block but
-    the disjunctions may be one value for all of its rows or entries."""
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.rows: List[tuple] = []  # (count, k, rank, rank, rank, sense code, rhs)
-        self.prov: List[Callable[[], List[str]]] = []
-        self.ents: List[tuple] = []  # (row ids, cols, vals)
-
-    def add(self, k: np.ndarray, r1, r2, r3, code, rhs, provenance: Callable[[], List[str]]) -> np.ndarray:
-        """Rows of disjunctions ``k`` with sort keys ``(k, r1, r2, r3)``,
-        sense codes, right-hand sides and a function that makes their
-        provenance; returns their ids."""
-        ids = np.arange(self.n, self.n + len(k))
-        self.n += len(k)
-        self.rows.append((len(k), k, r1, r2, r3, code, rhs))
-        self.prov.append(provenance)
-        return ids
-
-    def entries(self, ids: np.ndarray, cols, vals) -> None:
-        """One entry ``(cols[e], vals[e])`` at the end of row ``ids[e]``, for each ``e``."""
-        self.ents.append((len(ids), ids, cols, vals))
-
-    def into(self, b: MilpModel) -> None:
-        if not self.n:
-            return
-        k, r1, r2, r3, code, rhs = (_join(self.rows, f) for f in range(1, 7))
-        order = np.lexsort((r3, r2, r1, k))
-        pos = np.empty(self.n, dtype=np.intp)
-        pos[order] = np.arange(self.n)
-        at, cols, vals = pos[_join(self.ents, 1)], _join(self.ents, 2), _join(self.ents, 3)
-        by_row = at.argsort(kind="stable")
-
-        def provenance(made=self.prov) -> List[str]:
-            names = list(chain.from_iterable(p() for p in made))
-            return [names[i] for i in order.tolist()]
-
-        b.store.add_block(np.bincount(at, minlength=self.n), cols[by_row], vals[by_row], code[order],
-                          rhs[order], provenance)
-
-
-def _join(blocks: List[tuple], f: int) -> np.ndarray:
-    """Field ``f`` of ``blocks`` joined, a block's single value repeated to
-    its count, field 0."""
-    return np.concatenate([b[f] if type(b[f]) is np.ndarray else np.full(b[0], b[f]) for b in blocks])
-
-
-def _lower(model: GdpModel, pass_name: str, emit: Callable[[MilpModel, _Lowering, _Rows], None]) -> MilpModel:
-    """The lowering every pass shares (see the module docstring).  After
-    the model's own columns and rows, ``emit(b, low, out)`` gets the MILP
-    being built, the whole model's disjunct rows and the block of rows to
-    write them to, each row keyed by its disjunction so that the MILP's
-    rows come disjunction after disjunction, each closed by its
-    exclusive-or row.  Global and logic rows are written with float,
-    nonzero coefficients, as the passes write theirs."""
+def _lower(model: GdpModel, pass_name: str, emit: Callable[[MilpModel, _Lowering], None]) -> MilpModel:
+    """The lowering every pass shares (see the module docstring).  The
+    model's global rows, then its logic rows, go to the MILP's row store as
+    one block keyed ahead of every disjunction, with float, nonzero
+    coefficients, as the passes write theirs.  ``emit(b, low)`` then gets
+    the MILP being built and the whole model's disjunct rows, and writes
+    its rows to ``b.store``, each keyed by its disjunction so that the
+    MILP's rows come disjunction after disjunction, each closed by its
+    exclusive-or row."""
     _reject_invalid(model)
     b = MilpModel(name=f"{model.name or 'model'}_{pass_name}")
+    nv, G = len(model.vars), len(model.global_rows)
     b.variables += [MilpVar(v.name, float(v.lower), float(v.upper)) for v in model.vars]
     b.variables += [MilpVar(name, 0.0, 1.0, True) for name in model.bools]
-    ymap = range(len(model.vars), len(b.variables))
-    for gi, row in enumerate(model.global_rows):
-        coeffs = {v: float(a) for v, a in row.coeffs.items() if a != 0.0}
-        b.add_row(coeffs, row.sense, float(row.rhs), f"global[{gi}]")
-    for li, row in enumerate(model.logic):
-        coeffs = {ymap[v]: float(a) for v, a in row.coeffs.items() if a != 0.0}
-        b.add_row(coeffs, row.sense, float(row.rhs), f"logic[{li}]")
     b.objective = {v: float(a) for v, a in model.objective.items()}
+    rows = [*model.global_rows, *model.logic]
+    coeffs = list(map(attrgetter("coeffs"), rows))
+    lens = np.fromiter(map(len, coeffs), np.intp, len(rows))
+    cols = np.fromiter(chain.from_iterable(coeffs), np.intp, lens.sum())
+    vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)), float, len(cols))
+    cols[lens[:G].sum():] += nv  # a logic row's columns are the indicators
+    code = np.fromiter(map(SENSES.index, map(attrgetter("sense"), rows)), np.intp, len(rows))
+    rhs = np.fromiter(map(attrgetter("rhs"), rows), float, len(rows))
+    ids = b.store.add_rows(np.full(len(rows), -1), 0, 0, 0, code, rhs, lambda: [
+        f"global[{i}]" if i < G else f"logic[{i - G}]" for i in range(len(rows))])
+    keep = vals != 0.0
+    b.store.entries(ids.repeat(lens)[keep], cols[keep], vals[keep])
 
     disjunctions = model.disjunctions
     form = canonical_form(disjunctions)
@@ -558,14 +519,13 @@ def _lower(model: GdpModel, pass_name: str, emit: Callable[[MilpModel, _Lowering
     lo = np.array([v.lower for v in model.vars], dtype=float)
     hi = np.array([v.upper for v in model.vars], dtype=float)
     top = _row_maxima(form, lo, hi)
-    ycol = np.array([ymap[d.indicator] for disj in disjunctions for d in disj.disjuncts], dtype=np.intp)
+    ycol = nv + np.array([d.indicator for disj in disjunctions for d in disj.disjuncts], dtype=np.intp)
     tags = [f"d{k}" + (f"({disj.label})" if disj.label else "") for k, disj in enumerate(disjunctions)]
     low = _Lowering(form, top, form.rhs < top, ycol, tags, lo, hi, [v.name for v in model.vars])
-    out = _Rows()
-    emit(b, low, out)
-    ids = out.add(np.arange(len(tags)), 3, 0, 0, EQ_CODE, 1.0, lambda: [f"{pass_name}:{t}:xor" for t in tags])
-    out.entries(np.repeat(ids, counts), ycol, 1.0)
-    out.into(b)
+    emit(b, low)
+    ids = b.store.add_rows(np.arange(len(tags)), 3, 0, 0, EQ_CODE, 1.0,
+                           lambda: [f"{pass_name}:{t}:xor" for t in tags])
+    b.store.entries(np.repeat(ids, counts), ycol, 1.0)
     return b
 
 
@@ -578,14 +538,14 @@ def reformulate_bigm(model: GdpModel) -> MilpModel:
     holds everywhere in the box and is not written.  No continuous
     variables are added.
     """
-    def emit(b: MilpModel, low: _Lowering, out: _Rows) -> None:
+    def emit(b: MilpModel, low: _Lowering) -> None:
         f, g = low.form, low.written.nonzero()[0]
         rhs = f.rhs[g]
         m = low.top[g] - rhs  # big_m_bound of each row, above 0
-        ids = out.add(f.k[g], 0, g, 0, LE_CODE, rhs + m, lambda: low.provenance("bigm", g))
+        ids = b.store.add_rows(f.k[g], 0, g, 0, LE_CODE, rhs + m, lambda: low.provenance("bigm", g))
         nz, at = _entries(f.start, g)
-        out.entries(ids[at], f.cols[nz], f.vals[nz])
-        out.entries(ids, low.ycol[f.gd[g]], m)
+        b.store.entries(ids[at], f.cols[nz], f.vals[nz])
+        b.store.entries(ids, low.ycol[f.gd[g]], m)
 
     return _lower(model, "bigm", emit)
 
@@ -613,7 +573,7 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
     and lower links, variable by variable; then the aggregation rows,
     variable by variable.
     """
-    def emit(b: MilpModel, low: _Lowering, out: _Rows) -> None:
+    def emit(b: MilpModel, low: _Lowering) -> None:
         f, nv, tags = low.form, len(low.lo), low.tags
         g = low.written.nonzero()[0]
         nz, at = _entries(f.start, g)
@@ -635,10 +595,10 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
         )
         # each written row in its disjunct's copies: a^T x^j - rhs y_j <= 0
         rhs = f.rhs[g]
-        ids = out.add(f.k[g], 0, gd, g, LE_CODE, 0.0, lambda: low.provenance("hull", g))
-        out.entries(ids[at], ccol[copies.searchsorted(key)], f.vals[nz])
+        ids = b.store.add_rows(f.k[g], 0, gd, g, LE_CODE, 0.0, lambda: low.provenance("hull", g))
+        b.store.entries(ids[at], ccol[copies.searchsorted(key)], f.vals[nz])
         cut = (rhs != 0.0).nonzero()[0]
-        out.entries(ids[cut], low.ycol[gd[cut]], -rhs[cut])
+        b.store.entries(ids[cut], low.ycol[gd[cut]], -rhs[cut])
         # the links x^j <= upper y_j and -x^j <= -lower y_j; a zero bound
         # is the copy's column bound, and no row repeats it
         R, cy = len(f.rhs), low.ycol[cgd]
@@ -649,9 +609,9 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
                 return [f"hull:{tags[k]}:j{j}:{side}[{v}]"
                         for k, j, v in zip(ck[s].tolist(), cj[s].tolist(), cv[s].tolist())]
 
-            ids = out.add(ck[s], 0, cgd[s], R + 2 * cv[s] + rank, LE_CODE, 0.0, prov)
-            out.entries(ids, ccol[s], sign)
-            out.entries(ids, cy[s], -sign * bound[s])
+            ids = b.store.add_rows(ck[s], 0, cgd[s], R + 2 * cv[s] + rank, LE_CODE, 0.0, prov)
+            b.store.entries(ids, ccol[s], sign)
+            b.store.entries(ids, cy[s], -sign * bound[s])
         # aggregation, per disjunction and variable with a copy: one entry
         # per disjunct of the disjunction, its copy or, when it has none,
         # its indicator times the bound
@@ -669,21 +629,21 @@ def reformulate_hull(model: GdpModel) -> MilpModel:
             return [f"hull:{tags[k]}:{'agg' if a else 'aggub'}[{v}]"
                     for k, v, a in zip(pk.tolist(), pv.tolist(), full.tolist())]
 
-        ids = out.add(pk, 1, pv, 0, np.where(full, EQ_CODE, LE_CODE), 0.0, up)
-        out.entries(ids, pv, 1.0)
+        ids = b.store.add_rows(pk, 1, pv, 0, np.where(full, EQ_CODE, LE_CODE), 0.0, up)
+        b.store.entries(ids, pv, 1.0)
         bound = -low.hi[pv[pe]]
         s = (has | (bound != 0.0)).nonzero()[0]
-        out.entries(ids[pe[s]], ecol[s], np.where(has[s], -1.0, bound[s]))
+        b.store.entries(ids[pe[s]], ecol[s], np.where(has[s], -1.0, bound[s]))
         part = (~full).nonzero()[0]
         def down() -> List[str]:
             return [f"hull:{tags[k]}:agglb[{v}]" for k, v in zip(pk[part].tolist(), pv[part].tolist())]
 
         lb_ids = np.zeros(len(pairs), dtype=np.intp)
-        lb_ids[part] = out.add(pk[part], 1, pv[part], 1, LE_CODE, 0.0, down)
-        out.entries(lb_ids[part], pv[part], -1.0)
+        lb_ids[part] = b.store.add_rows(pk[part], 1, pv[part], 1, LE_CODE, 0.0, down)
+        b.store.entries(lb_ids[part], pv[part], -1.0)
         bound = low.lo[pv[pe]]
         s = (~full[pe] & (has | (bound != 0.0))).nonzero()[0]
-        out.entries(lb_ids[pe[s]], ecol[s], np.where(has[s], 1.0, bound[s]))
+        b.store.entries(lb_ids[pe[s]], ecol[s], np.where(has[s], 1.0, bound[s]))
 
     return _lower(model, "hull", emit)
 
@@ -714,7 +674,7 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
     ``reformulate_rhr(align_model(model))`` closes the gap with about 17%
     more rows (35 -> 41 at seven jobs).
     """
-    def emit(b: MilpModel, low: _Lowering, out: _Rows) -> None:
+    def emit(b: MilpModel, low: _Lowering) -> None:
         f = low.form
         bad = _unshared(f).nonzero()[0]
         if bad.size:
@@ -726,12 +686,12 @@ def reformulate_rhr(model: GdpModel) -> MilpModel:
         # with the first disjunct's maximum
         cut = np.bincount(g0[f.rhs < low.top[g0]], minlength=len(g0)) > 0
         r0 = cut.nonzero()[0]
-        ids = out.add(f.k[r0], 0, r0, 0, LE_CODE, 0.0, lambda: low.provenance("rhr", r0, disjunct=False))
+        ids = b.store.add_rows(f.k[r0], 0, r0, 0, LE_CODE, 0.0, lambda: low.provenance("rhr", r0, disjunct=False))
         nz, at = _entries(f.start, r0)
-        out.entries(ids[at], f.cols[nz], f.vals[nz])
+        b.store.entries(ids[at], f.cols[nz], f.vals[nz])
         row_id = np.zeros(len(g0), dtype=np.intp)
         row_id[r0] = ids
         s = (cut[g0] & (f.rhs != 0.0)).nonzero()[0]
-        out.entries(row_id[g0[s]], low.ycol[f.gd[s]], -f.rhs[s])
+        b.store.entries(row_id[g0[s]], low.ycol[f.gd[s]], -f.rhs[s])
 
     return _lower(model, "rhr", emit)

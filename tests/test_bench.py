@@ -19,6 +19,7 @@ from gldp import (
     save_instance,
     shared_lhs,
 )
+import gldp.bench
 from gldp.bench import CONCEPTS, CSV_FIELDS, RHR_CONCEPTS, BenchRecord
 
 
@@ -155,6 +156,16 @@ def test_run_bench_rejects_ip_rhr():
 def test_run_bench_rejects_unknown_names(seeds, concepts, reformulations, message):
     with pytest.raises(ValueError, match=message):
         run_bench(sched_instances(3, seeds), concepts, reformulations)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_bench_rejects_fewer_than_one_worker(monkeypatch, workers):
+    def no_run(task):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(gldp.bench, "_bench_group", no_run)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        run_bench(sched_instances(3, 1), ["TS"], ["BM"], workers=workers)
 
 
 def test_rhr_concepts_are_exactly_the_shared_lhs_concepts():

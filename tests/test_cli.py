@@ -138,11 +138,13 @@ def test_bench_rejects_unknown_names(tmp_path, capsys, flag, name, message):
     [("--sizes", "5:3", "--sizes '5:3' gives no size"),
      ("--sizes", ",", "--sizes ',' gives no size"),
      ("--seeds", "0", "--seeds must be at least 1, got 0"),
-     ("--seeds", "-2", "--seeds must be at least 1, got -2")],
+     ("--seeds", "-2", "--seeds must be at least 1, got -2"),
+     ("--workers", "0", "--workers must be at least 1, got 0"),
+     ("--workers", "-1", "--workers must be at least 1, got -1")],
 )
 def test_bench_rejects_an_empty_sweep(tmp_path, capsys, flag, value, message):
     out = tmp_path / "r.csv"
-    argv = ["bench", "--gen", "scheduling", "--sizes", "3", "--seeds", "1",
+    argv = ["bench", "--gen", "scheduling", "--sizes", "3", "--seeds", "1", "--workers", "1",
             "--concepts", "TS", "--reforms", "BM", "-o", str(out)]
     argv[argv.index(flag) + 1] = value
     assert main(argv) == 1

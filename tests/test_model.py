@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,9 +23,21 @@ from gldp import (
     gen_scheduling,
     gen_strip,
     reformulate_bigm,
+    reformulate_hull,
+    reformulate_rhr,
     validate,
 )
-from gldp.model import CanonicalRows, _bulk_valid, _canonical_block, _diagnose, row_range
+from gldp.bench import CONCEPTS, REFORMULATIONS, check_compatible
+from gldp.model import (
+    SENSES,
+    CanonicalRows,
+    RowStore,
+    _bulk_valid,
+    _canonical_block,
+    _diagnose,
+    row_range,
+)
+from gldp.builders import StripInstance
 
 
 def tiny_model(**overrides):
@@ -449,6 +462,73 @@ def test_canonical_block_is_the_plain_sort(disjunctions):
 def test_canonicalize_rejects_an_unknown_sense():
     with pytest.raises(ValueError, match="unknown row sense '<'"):
         canonicalize_rows(Disjunct(0, [LinRow({0: 1.0}, 1.0), LinRow({0: 1.0}, 2.0, "<")]))
+
+
+MISTYPED_ROWS = [
+    (LinRow({1.5: 1.0}, 0.0), "references undeclared variable 1.5"),
+    (LinRow({0: "2"}, 1.0), "coefficient on variable 0 is not a number"),
+    (LinRow({0: 1.0}, None), "right-hand side is not a number"),
+]
+
+
+@pytest.mark.parametrize("row, why", MISTYPED_ROWS)
+def test_canonicalize_rejects_a_row_of_the_wrong_type(row, why):
+    with pytest.raises(ValueError, match=re.escape(f"disjunct 0, row 1: {why}")):
+        canonicalize_rows(Disjunct(0, [LinRow({0: 1.0}, 1.0), row]))
+    assert why in " ".join(_diagnose(tiny_model(disjunctions=[Disjunction([Disjunct(0, [row]), Disjunct(1, [])])])))
+
+
+LE_CODE, EQ_CODE = SENSES.index(LE), SENSES.index(EQ)
+
+
+def test_row_store_sorts_the_rows_written_since_it_last_joined():
+    s = RowStore()
+    a = s.add_rows(np.array([2, 0]), 0, np.array([1, 5]), 0, LE_CODE, np.array([1.0, 2.0]), lambda: ["k2", "k0"])
+    b = s.add_rows(np.array([1]), 0, 0, 0, EQ_CODE, 3.0, ["k1"])
+    # row k0's entries come in three calls, its own in the order written
+    s.entries(a, np.array([3, 4]), np.array([1.0, 2.0]))
+    s.entries(b, 7, -1.0)
+    s.entries(a[[1, 1]], np.array([0, 9]), np.array([5.0, 6.0]))
+    assert len(s) == 3
+    start, cols, vals, code, rhs = s.arrays()
+    assert start.tolist() == [0, 3, 4, 5]
+    assert cols.tolist() == [4, 0, 9, 7, 3] and vals.tolist() == [2.0, 5.0, 6.0, -1.0, 1.0]
+    assert code.tolist() == [LE_CODE, EQ_CODE, LE_CODE] and rhs.tolist() == [2.0, 3.0, 1.0]
+    assert s.provenance == ["k0", "k1", "k2"]
+    assert s.view() == (LinRow({4: 2.0, 0: 5.0, 9: 6.0}, 2.0, LE, "k0"), LinRow({7: -1.0}, 3.0, EQ, "k1"),
+                        LinRow({3: 1.0}, 1.0, LE, "k2"))
+
+    # a row written alone comes after the keyed rows of its batch, in order;
+    # a batch written after arrays() comes after the rows joined before
+    s.add({1: 1.0}, GE, 4.0, "alone0")
+    c = s.add_rows(np.array([-1]), 0, 0, 0, LE_CODE, 5.0, ["k-1"])
+    s.entries(c, 2, 1.0)
+    s.add({}, "<", 6.0, "alone1")
+    start, cols, _, code, rhs = s.arrays()
+    assert s.provenance == ["k0", "k1", "k2", "k-1", "alone0", "alone1"]
+    assert start.tolist() == [0, 3, 4, 5, 6, 7, 7] and cols.tolist() == [4, 0, 9, 7, 3, 2, 1]
+    assert rhs.tolist() == [2.0, 3.0, 1.0, 5.0, 4.0, 6.0]
+    assert [s.senses[c] for c in code.tolist()] == [LE, EQ, LE, LE, GE, "<"]
+    assert len(s) == 6 and s.copy() == s
+
+
+def test_no_pass_writes_a_row_alone(monkeypatch):
+    """Every row a pass writes goes to the store in a keyed block."""
+    def alone(*args):
+        raise AssertionError("a row was written alone")
+
+    monkeypatch.setattr(RowStore, "add", alone)
+    sched, strip = gen_scheduling(4, 0), gen_strip(3, 0)
+    passes = {"BM": reformulate_bigm, "HR": reformulate_hull, "RHR": reformulate_rhr}
+    ran = 0
+    for concept in CONCEPTS:
+        inst = strip if CONCEPTS[concept].kind is StripInstance else sched
+        for reform in REFORMULATIONS:
+            if check_compatible(concept, reform) is None:
+                milp = passes[reform](build_model(inst, concept))
+                assert len(milp.rows) == len(milp.store.provenance) > 0
+                ran += 1
+    assert ran == 20
 
 
 def test_check_assignment_closes_the_loop():

@@ -6,6 +6,7 @@ import pytest
 
 from gldp import (
     EQ,
+    GE,
     Disjunct,
     Disjunction,
     Job,
@@ -174,6 +175,29 @@ def test_hull_oracle_of_a_point_or_a_segment(disjuncts, cells):
     it (cell width 1 over the box [0, 4]^2)."""
     res = hull_oracle_1d2d(Disjunction(disjuncts), {0: (0.0, 4.0), 1: (0.0, 4.0)}, resolution=4)
     assert sorted(map(tuple, np.argwhere(res.mask).tolist())) == cells
+
+
+def test_hull_oracle_reads_ge_and_eq_rows_without_the_canonical_form(monkeypatch):
+    """The oracle clips by each row as written, so a bug in the canonical
+    rows that the passes share cannot move it."""
+    import gldp.model
+
+    def no_canonical_form(*args):
+        raise AssertionError("the oracle read the canonical form")
+
+    monkeypatch.setattr(gldp.model, "_canonical_block", no_canonical_form)
+    box = {0: (0.0, 4.0), 1: (0.0, 4.0)}
+    # the segment x = 1 and the box x >= 3, y <= 1: hull x >= 1, x + y <= 5
+    segment = Disjunct(0, [LinRow({0: 1.0}, 1.0, EQ), LinRow({1: 1.0, 0: 0.0}, 0.0, GE)])
+    corner = Disjunct(1, [LinRow({0: 1.0}, 3.0, GE), LinRow({1: 1.0}, 1.0)])
+    res = hull_oracle_1d2d(Disjunction([segment, corner]), box, resolution=4)
+    x, y = np.meshgrid(res.axes[0], res.axes[1], indexing="ij")
+    assert res.var_ids == (0, 1)
+    assert np.array_equal(res.mask, (x >= 1.0) & (x + y <= 5.0))
+    # in one dimension: conv({1} u [3, 4]) = [1, 4]
+    res = hull_oracle_1d2d(Disjunction([Disjunct(0, [segment.rows[0]]), Disjunct(1, [corner.rows[0]])]),
+                           box, resolution=4)
+    assert res.var_ids == (0,) and res.mask.tolist() == [False, True, True, True, True]
 
 
 def two_squares():

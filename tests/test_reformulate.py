@@ -211,6 +211,20 @@ def test_shared_lhs_examples():
     assert shared_lhs(Disjunction([a, b])) and not shared_lhs(Disjunction([a, c]))
 
 
+@pytest.mark.parametrize(
+    "row, why",
+    [(LinRow({1.5: 1.0}, 0.0), "references undeclared variable 1.5"),
+     (LinRow({0: "2"}, 1.0), "coefficient on variable 0 is not a number"),
+     (LinRow({0: 1.0}, None), "right-hand side is not a number")],
+)
+def test_shared_lhs_rejects_a_row_of_the_wrong_type(row, why):
+    """Checked before numpy reads the rows: it would read variable 1.5 as
+    1, the coefficient "2" as 2.0 and a missing rhs as nan."""
+    ok = Disjunct(0, [LinRow({1: 1.0}, 0.0)])
+    with pytest.raises(ValueError, match=re.escape(f"disjunct 1, row 0: {why}")):
+        shared_lhs(Disjunction([ok, Disjunct(1, [row])]))
+
+
 def test_align_interval_union():
     m = interval_union_model()
     out = align_model(m)
